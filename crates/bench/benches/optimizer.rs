@@ -10,11 +10,7 @@ use snip_opt::{CapacityCurve, GreedyAllocator, LinearProgram, TwoStepOptimizer};
 
 fn curves() -> Vec<CapacityCurve> {
     let model = SnipModel::default();
-    SlotProfile::roadside()
-        .slots()
-        .iter()
-        .map(|s| CapacityCurve::for_slot(&model, s))
-        .collect()
+    CapacityCurve::for_slots(&model, SlotProfile::roadside().slots())
 }
 
 fn bench_two_step(c: &mut Criterion) {

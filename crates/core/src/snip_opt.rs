@@ -72,7 +72,7 @@ impl SnipOptScheduler {
     /// Solves go through the process-wide plan cache
     /// ([`snip_opt::solve_cached`]): a sweep revisiting the same
     /// `(profile, Φmax, ζtarget)` point — or a fleet of same-profile nodes
-    /// — reuses the first solve's plan instead of re-solving (~1 ms each).
+    /// — reuses the first solve's plan instead of re-solving.
     /// Cache keys are the exact inputs, so the plan is bit-identical to an
     /// uncached solve.
     ///

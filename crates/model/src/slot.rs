@@ -87,10 +87,16 @@ impl SlotSpec {
     /// Probed capacity `ζi(di)` in seconds when SNIP runs at `d` all slot.
     #[must_use]
     pub fn probed_capacity(&self, model: &SnipModel, d: DutyCycle) -> f64 {
-        self.expected_contacts()
-            * model
-                .expected_probed_dist(d, &self.contact_length)
-                .as_secs_f64()
+        self.probed_capacity_from(model.expected_probed_dist(d, &self.contact_length))
+    }
+
+    /// Probed capacity `ζi` in seconds given `E[Tprobed]`, the expected
+    /// probed time of one of this slot's contacts: the slot-independent
+    /// factor of [`SlotSpec::probed_capacity`], which slots sharing a
+    /// contact-length distribution can compute once.
+    #[must_use]
+    pub fn probed_capacity_from(&self, expected_probed: SimDuration) -> f64 {
+        self.expected_contacts() * expected_probed.as_secs_f64()
     }
 
     /// Probing energy `Φi = ti · di` in seconds of radio-on time when SNIP

@@ -167,6 +167,7 @@ impl Histogram {
 }
 
 /// One registered series.
+#[derive(Clone, Copy)]
 enum Metric {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
@@ -178,17 +179,27 @@ fn registry() -> &'static Mutex<BTreeMap<String, Metric>> {
     REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
+/// Returns the metric registered as `name`, registering `make()` on first
+/// use. The lock is released on return, so callers check the kind and
+/// panic on a mismatch without holding it: one misnamed metric must not
+/// poison the registry for every other caller in the process.
+fn lookup(name: &str, make: impl FnOnce() -> Metric) -> Metric {
+    *registry()
+        .lock()
+        .expect("metrics registry poisoned")
+        .entry(name.to_string())
+        .or_insert_with(make)
+}
+
 /// Returns the registered counter `name`, creating it on first use.
 ///
 /// # Panics
 ///
 /// Panics if `name` is already registered as a different metric type.
 pub fn counter(name: &str) -> &'static Counter {
-    let mut map = registry().lock().expect("metrics registry poisoned");
-    let metric = map
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Counter(Box::leak(Box::new(Counter::new()))));
-    match metric {
+    match lookup(name, || {
+        Metric::Counter(Box::leak(Box::new(Counter::new())))
+    }) {
         Metric::Counter(c) => c,
         _ => panic!("metric `{name}` is registered as a non-counter"),
     }
@@ -200,11 +211,7 @@ pub fn counter(name: &str) -> &'static Counter {
 ///
 /// Panics if `name` is already registered as a different metric type.
 pub fn gauge(name: &str) -> &'static Gauge {
-    let mut map = registry().lock().expect("metrics registry poisoned");
-    let metric = map
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Gauge(Box::leak(Box::new(Gauge::new()))));
-    match metric {
+    match lookup(name, || Metric::Gauge(Box::leak(Box::new(Gauge::new())))) {
         Metric::Gauge(g) => g,
         _ => panic!("metric `{name}` is registered as a non-gauge"),
     }
@@ -216,11 +223,9 @@ pub fn gauge(name: &str) -> &'static Gauge {
 ///
 /// Panics if `name` is already registered as a different metric type.
 pub fn histogram(name: &str) -> &'static Histogram {
-    let mut map = registry().lock().expect("metrics registry poisoned");
-    let metric = map
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Histogram(Box::leak(Box::new(Histogram::new()))));
-    match metric {
+    match lookup(name, || {
+        Metric::Histogram(Box::leak(Box::new(Histogram::new())))
+    }) {
         Metric::Histogram(h) => h,
         _ => panic!("metric `{name}` is registered as a non-histogram"),
     }
@@ -395,6 +400,15 @@ mod tests {
     fn type_mismatch_panics() {
         let _ = gauge("test_registry_mismatch");
         let _ = counter("test_registry_mismatch");
+    }
+
+    #[test]
+    fn a_type_mismatch_leaves_the_registry_usable() {
+        let _ = gauge("test_registry_mismatch_recovery");
+        let mismatch = std::panic::catch_unwind(|| counter("test_registry_mismatch_recovery"));
+        assert!(mismatch.is_err());
+        counter("test_registry_after_mismatch_total").inc();
+        assert_eq!(counter_value("test_registry_after_mismatch_total"), 1);
     }
 
     #[test]

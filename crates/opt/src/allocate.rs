@@ -44,11 +44,7 @@ impl Allocation {
 ///
 /// let model = SnipModel::default();
 /// let profile = SlotProfile::roadside();
-/// let curves: Vec<CapacityCurve> = profile
-///     .slots()
-///     .iter()
-///     .map(|s| CapacityCurve::for_slot(&model, s))
-///     .collect();
+/// let curves = CapacityCurve::for_slots(&model, profile.slots());
 /// let alloc = GreedyAllocator::new(curves).maximize_capacity(86.4);
 /// // All 86.4 s of budget go to rush-hour slots at efficiency 1/3.
 /// assert!((alloc.zeta - 28.8).abs() < 1e-6);
@@ -198,11 +194,7 @@ mod tests {
 
     fn roadside_allocator() -> GreedyAllocator {
         let model = SnipModel::default();
-        let curves = SlotProfile::roadside()
-            .slots()
-            .iter()
-            .map(|s| CapacityCurve::for_slot(&model, s))
-            .collect();
+        let curves = CapacityCurve::for_slots(&model, SlotProfile::roadside().slots());
         GreedyAllocator::new(curves)
     }
 

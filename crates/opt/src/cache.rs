@@ -2,9 +2,13 @@
 //!
 //! A sweep re-solves the two-step optimization for every `(Φmax, ζtarget)`
 //! point, and a fleet run re-solves it for every node sharing a profile —
-//! yet the plan is a pure function of `(model, profile, Φmax, ζtarget)`,
-//! and one solve costs about a millisecond (curve construction plus two
-//! greedy allocations). This cache returns a stored clone for repeated
+//! yet the plan is a pure function of `(model, profile, Φmax, ζtarget)`.
+//! A cold solve is curve construction plus two greedy allocations. The
+//! curves integrate Υ once per distinct contact-length distribution, so
+//! on profiles whose slots share one distribution, as all of the paper's
+//! do, a solve costs about 60–80 µs; when every slot has its own
+//! distribution, Υ runs once per slot and a solve costs about 1 ms
+//! (two-vCPU x86-64 VM). This cache returns a stored clone for repeated
 //! keys, so repeated sweep points and same-profile fleet nodes skip the
 //! re-solve entirely.
 //!
@@ -31,7 +35,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use serde::{json, Serialize as _};
 use snip_model::{SlotProfile, SnipModel};
@@ -59,8 +63,16 @@ static SEEDED_HITS: AtomicU64 = AtomicU64::new(0);
 /// just aren't stored.
 pub const MAX_CACHED_PLANS: usize = 4_096;
 
-fn cache() -> &'static Mutex<BTreeMap<String, Entry>> {
-    CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
+/// The plan map, locked. A poisoned lock is recovered rather than
+/// propagated: every critical section either reads or inserts one whole
+/// entry, so the map is consistent wherever a panic (say, in a
+/// [`cached_plans_where`] filter) can unwind through it, and one panicking
+/// caller must not disable the cache for the rest of the process.
+fn cache() -> MutexGuard<'static, BTreeMap<String, Entry>> {
+    CACHE
+        .get_or_init(|| Mutex::new(BTreeMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Registry handles mirroring the cache counters (plus solve timing) into
@@ -104,7 +116,7 @@ pub fn plan_cache_stats() -> PlanCacheStats {
     PlanCacheStats {
         hits: HITS.load(Ordering::Relaxed),
         misses: MISSES.load(Ordering::Relaxed),
-        entries: cache().lock().expect("plan cache poisoned").len(),
+        entries: cache().len(),
         seeded: SEEDED.load(Ordering::Relaxed),
         seeded_hits: SEEDED_HITS.load(Ordering::Relaxed),
     }
@@ -127,7 +139,7 @@ fn key(model: &SnipModel, profile: &SlotProfile, phi_max: f64, zeta_target: f64)
 /// locally or seeded earlier — is left untouched, so seeding can never
 /// shadow a local solve; past [`MAX_CACHED_PLANS`] the plan is dropped.
 pub fn seed_plan(key: impl Into<String>, plan: OptPlan) {
-    let mut map = cache().lock().expect("plan cache poisoned");
+    let mut map = cache();
     if map.len() >= MAX_CACHED_PLANS {
         return;
     }
@@ -151,8 +163,6 @@ pub fn cached_plans() -> Vec<(String, OptPlan)> {
 #[must_use]
 pub fn cached_plans_where(keep: impl Fn(&str) -> bool) -> Vec<(String, OptPlan)> {
     cache()
-        .lock()
-        .expect("plan cache poisoned")
         .iter()
         .filter(|(k, _)| keep(k))
         .map(|(k, e)| (k.clone(), e.plan.clone()))
@@ -179,7 +189,7 @@ pub fn solve_cached(
 ) -> OptPlan {
     let key = key(&model, profile, phi_max, zeta_target);
     let metrics = cache_metrics();
-    if let Some(entry) = cache().lock().expect("plan cache poisoned").get(&key) {
+    if let Some(entry) = cache().get(&key) {
         HITS.fetch_add(1, Ordering::Relaxed);
         metrics.hits.inc();
         if entry.seeded {
@@ -194,7 +204,7 @@ pub fn solve_cached(
     metrics.solve_us.observe(solve_start.elapsed());
     MISSES.fetch_add(1, Ordering::Relaxed);
     metrics.misses.inc();
-    let mut map = cache().lock().expect("plan cache poisoned");
+    let mut map = cache();
     if map.len() < MAX_CACHED_PLANS {
         map.insert(
             key,
@@ -294,6 +304,18 @@ mod tests {
         assert!(solves_after > solves_before, "the miss must time its solve");
         assert!(snip_obs::metrics::counter_value("snip_opt_plan_misses_total") >= 1);
         assert!(snip_obs::metrics::counter_value("snip_opt_plan_hits_total") >= 1);
+    }
+
+    #[test]
+    fn a_panicking_filter_leaves_the_cache_usable() {
+        let model = SnipModel::default();
+        let profile = SlotProfile::roadside();
+        let (phi_max, target) = (86.4 + 11e-9, 16.0 + 11e-9);
+        let plan = solve_cached(model, &profile, phi_max, target);
+        let panicked = std::panic::catch_unwind(|| cached_plans_where(|_| panic!("filter bug")));
+        assert!(panicked.is_err());
+        assert_eq!(solve_cached(model, &profile, phi_max, target), plan);
+        assert!(plan_cache_stats().entries >= 1);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! exact.
 
 use serde::{Deserialize, Serialize};
-use snip_units::DutyCycle;
+use snip_units::{DutyCycle, SimDuration};
 
-use snip_model::{SlotSpec, SnipModel};
+use snip_model::{LengthDistribution, SlotSpec, SnipModel};
 
 /// One linear segment of a capacity curve: spend up to `energy` more seconds
 /// of radio-on time at `efficiency` seconds of capacity per second of energy.
@@ -46,20 +46,53 @@ impl CapacityCurve {
     /// Default duty-cycle breakpoints above the knee: geometric doubling.
     const KNEE_MULTIPLES: [f64; 6] = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
-    /// Builds the curve for one slot under a SNIP model.
+    /// Builds the curve for one slot under a SNIP model: the one-slot case
+    /// of [`CapacityCurve::for_slots`].
     ///
     /// Breakpoints: the knee `d* = Ton/E[Tcontact]`, then geometric multiples
     /// of it up to `d = 1`. Slots without contacts produce an empty curve.
     #[must_use]
     pub fn for_slot(model: &SnipModel, slot: &SlotSpec) -> Self {
-        let slot_seconds = slot.length.as_secs_f64();
-        if slot.frequency() == 0.0 || slot.contact_length.mean().is_zero() {
-            return CapacityCurve {
-                segments: Vec::new(),
-                slot_seconds,
-            };
-        }
-        let knee = slot.knee_duty_cycle(model).as_fraction();
+        Self::for_slots(model, std::slice::from_ref(slot))
+            .pop()
+            .expect("one slot, one curve")
+    }
+
+    /// Builds the curves of several slots, in order.
+    ///
+    /// The breakpoint duty-cycles and `E[Tprobed]` at each of them depend
+    /// only on a slot's contact-length distribution, so Υ is integrated
+    /// once per distinct distribution and shared by every slot that has it
+    /// (all 24 slots of the paper's profiles share one). A slot scales the
+    /// shared factor by its expected contact count exactly as
+    /// [`SlotSpec::probed_capacity`] does, so each curve is bit-identical
+    /// to one built on its own.
+    #[must_use]
+    pub fn for_slots(model: &SnipModel, slots: &[SlotSpec]) -> Vec<Self> {
+        let mut shared: Vec<(LengthDistribution, Vec<(f64, SimDuration)>)> = Vec::new();
+        slots
+            .iter()
+            .map(|slot| {
+                let dist = slot.contact_length;
+                if slot.frequency() == 0.0 || dist.mean().is_zero() {
+                    return Self::from_breakpoints(slot, &[]);
+                }
+                let at = shared
+                    .iter()
+                    .position(|(d, _)| *d == dist)
+                    .unwrap_or_else(|| {
+                        shared.push((dist, Self::breakpoints(model, &dist)));
+                        shared.len() - 1
+                    });
+                Self::from_breakpoints(slot, &shared[at].1)
+            })
+            .collect()
+    }
+
+    /// The breakpoint duty-cycles for a contact-length distribution, each
+    /// with `E[Tprobed]` there.
+    fn breakpoints(model: &SnipModel, dist: &LengthDistribution) -> Vec<(f64, SimDuration)> {
+        let knee = model.knee_duty_cycle(dist.mean()).as_fraction();
         let mut duty_points = vec![knee.min(1.0)];
         for m in Self::KNEE_MULTIPLES {
             let d = knee * m;
@@ -72,12 +105,20 @@ impl CapacityCurve {
         if *duty_points.last().expect("non-empty") < 1.0 {
             duty_points.push(1.0);
         }
+        duty_points
+            .into_iter()
+            .map(|d| (d, model.expected_probed_dist(DutyCycle::clamped(d), dist)))
+            .collect()
+    }
 
-        let mut segments = Vec::with_capacity(duty_points.len());
+    /// One slot's segments from its distribution's breakpoints.
+    fn from_breakpoints(slot: &SlotSpec, points: &[(f64, SimDuration)]) -> Self {
+        let slot_seconds = slot.length.as_secs_f64();
+        let mut segments = Vec::with_capacity(points.len());
         let mut prev_d = 0.0f64;
         let mut prev_zeta = 0.0f64;
-        for d in duty_points {
-            let zeta = slot.probed_capacity(model, DutyCycle::clamped(d));
+        for &(d, expected_probed) in points {
+            let zeta = slot.probed_capacity_from(expected_probed);
             let d_energy = (d - prev_d) * slot_seconds;
             if d_energy > 0.0 {
                 let efficiency = ((zeta - prev_zeta) / d_energy).max(0.0);
@@ -161,8 +202,7 @@ impl CapacityCurve {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snip_model::{LengthDistribution, SlotProfile};
-    use snip_units::SimDuration;
+    use snip_model::SlotProfile;
 
     fn rush_slot() -> SlotSpec {
         SlotProfile::roadside().slots()[7]

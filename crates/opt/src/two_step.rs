@@ -102,11 +102,7 @@ impl TwoStepOptimizer {
     /// Creates an optimizer for a profile under a SNIP model.
     #[must_use]
     pub fn new(model: SnipModel, profile: SlotProfile) -> Self {
-        let curves = profile
-            .slots()
-            .iter()
-            .map(|s| CapacityCurve::for_slot(&model, s))
-            .collect();
+        let curves = CapacityCurve::for_slots(&model, profile.slots());
         TwoStepOptimizer {
             model,
             profile,

@@ -151,17 +151,7 @@ impl CheckpointWriter {
     ///
     /// Returns [`JournalError::Io`] on write or sync failure.
     pub fn append(&mut self, event: &CheckpointEvent) -> Result<(), JournalError> {
-        let value = event.to_value();
-        match self.format {
-            JournalFormat::Jsonl => {
-                let mut line = json::to_string(&value);
-                line.push('\n');
-                self.out.write_all(line.as_bytes())?;
-            }
-            JournalFormat::Cbor => {
-                cbor::write_value(&mut self.out, &value)?;
-            }
-        }
+        write_checkpoint_event(&mut self.out, self.format, event)?;
         self.out.flush()?;
         self.out.sync_data()?;
         self.events += 1;
@@ -179,6 +169,29 @@ impl CheckpointWriter {
             metrics: metrics.to_vec(),
         })
     }
+}
+
+/// Encodes one checkpoint record in `format`, as
+/// [`CheckpointWriter::append`] does before it flushes and syncs.
+///
+/// # Errors
+///
+/// Returns [`JournalError::Io`] on write failure.
+pub fn write_checkpoint_event(
+    out: &mut impl Write,
+    format: JournalFormat,
+    event: &CheckpointEvent,
+) -> Result<(), JournalError> {
+    let value = event.to_value();
+    match format {
+        JournalFormat::Jsonl => {
+            let mut line = json::to_string(&value);
+            line.push('\n');
+            out.write_all(line.as_bytes())?;
+        }
+        JournalFormat::Cbor => cbor::write_value(out, &value)?,
+    }
+    Ok(())
 }
 
 /// What [`load_checkpoint`] recovered from a journal.
@@ -217,26 +230,40 @@ impl<R: Read> Read for CountingReader<R> {
     }
 }
 
-/// Reads a checkpoint journal back, tolerating a torn final record.
+/// Reads a checkpoint journal file back, tolerating a torn final record;
+/// the format follows the extension as for [`CheckpointWriter::create`].
 ///
 /// # Errors
 ///
-/// Returns [`JournalError`] when the file cannot be opened, is empty,
+/// Returns [`JournalError`] when the file cannot be opened, or as
+/// [`read_checkpoint`].
+pub fn load_checkpoint(path: &Path) -> Result<CheckpointLoad, JournalError> {
+    read_checkpoint(File::open(path)?, JournalFormat::from_path(path))
+}
+
+/// Reads a checkpoint journal in `format` from `input`, tolerating a torn
+/// final record.
+///
+/// # Errors
+///
+/// Returns [`JournalError`] when the input cannot be read, is empty,
 /// does not start with a [`CheckpointEvent::Header`], carries an
 /// unsupported [`CheckpointHeader::version`], or holds a `ShardDone` for
 /// an ordinal outside the header's `total_shards`. A decode failure
 /// *after* a valid header is treated as the torn tail of an interrupted
 /// append, not an error.
-pub fn load_checkpoint(path: &Path) -> Result<CheckpointLoad, JournalError> {
-    let format = JournalFormat::from_path(path);
+pub fn read_checkpoint(
+    input: impl Read,
+    format: JournalFormat,
+) -> Result<CheckpointLoad, JournalError> {
     let mut input = BufReader::new(CountingReader {
-        inner: File::open(path)?,
+        inner: input,
         read: 0,
     });
 
-    fn next_value(
+    fn next_value<R: Read>(
         format: JournalFormat,
-        input: &mut BufReader<CountingReader<File>>,
+        input: &mut BufReader<CountingReader<R>>,
         line_buf: &mut String,
     ) -> Result<Option<serde::Value>, JournalError> {
         match format {
@@ -256,9 +283,9 @@ pub fn load_checkpoint(path: &Path) -> Result<CheckpointLoad, JournalError> {
         }
     }
 
-    // The file offset the loader has fully consumed: bytes pulled from
-    // the file minus what still sits unparsed in the BufReader.
-    fn consumed(input: &BufReader<CountingReader<File>>) -> u64 {
+    // The input offset the loader has fully consumed: bytes pulled from
+    // the input minus what still sits unparsed in the BufReader.
+    fn consumed<R>(input: &BufReader<CountingReader<R>>) -> u64 {
         input.get_ref().read - input.buffer().len() as u64
     }
 
@@ -372,6 +399,9 @@ mod tests {
                 "{name}"
             );
             assert_eq!(load.shards[&2], shard_metrics(2), "{name}");
+            let bytes = std::fs::read(&path).unwrap();
+            let from_memory = read_checkpoint(&bytes[..], JournalFormat::from_path(&path));
+            assert_eq!(from_memory.unwrap(), load, "{name}: memory and file agree");
             std::fs::remove_file(&path).unwrap();
         }
     }

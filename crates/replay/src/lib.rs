@@ -69,8 +69,8 @@ pub mod record;
 pub mod replay;
 
 pub use checkpoint::{
-    load_checkpoint, CheckpointEvent, CheckpointHeader, CheckpointLoad, CheckpointWriter,
-    CHECKPOINT_VERSION,
+    load_checkpoint, read_checkpoint, write_checkpoint_event, CheckpointEvent, CheckpointHeader,
+    CheckpointLoad, CheckpointWriter, CHECKPOINT_VERSION,
 };
 pub use diff::{diff_journals, DiffReport, FirstDifference};
 pub use event::{

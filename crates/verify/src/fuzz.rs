@@ -56,7 +56,9 @@ use std::time::Duration;
 
 use snip_replay::frame::FrameReader;
 use snip_replay::journal::{JournalFormat, JournalReader};
-use snip_replay::{load_checkpoint, CheckpointHeader, CheckpointWriter, FrameWriter};
+use snip_replay::{
+    read_checkpoint, write_checkpoint_event, CheckpointEvent, CheckpointHeader, FrameWriter,
+};
 
 /// Which decoder an input is fed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -414,11 +416,7 @@ fn seed_corpus(target: Target) -> Vec<Vec<u8>> {
             };
             vec![journal_seed(format)]
         }
-        Target::Checkpoint => {
-            // The checkpoint loader is path-based; the seed is the file's
-            // bytes, round-tripped through a temp file at execution time.
-            vec![checkpoint_seed()]
-        }
+        Target::Checkpoint => vec![checkpoint_seed()],
     }
 }
 
@@ -446,26 +444,27 @@ fn journal_seed(format: JournalFormat) -> Vec<u8> {
     writer.into_inner()
 }
 
+/// A JSONL checkpoint journal: a header and one empty shard.
 fn checkpoint_seed() -> Vec<u8> {
-    let path = scratch_path("seed");
     let header = CheckpointHeader {
         version: snip_replay::CHECKPOINT_VERSION,
         spec_hash: 0xfeed_beef,
         total_shards: 4,
         name: "fuzz-seed".to_string(),
     };
-    let mut writer = CheckpointWriter::create(&path, &header).expect("scratch checkpoint");
-    writer.append_shard(0, &[]).expect("scratch checkpoint");
-    drop(writer);
-    let bytes = fs::read(&path).expect("scratch checkpoint read");
-    let _ = fs::remove_file(&path);
+    let events = [
+        CheckpointEvent::Header(header),
+        CheckpointEvent::ShardDone {
+            shard: 0,
+            metrics: Vec::new(),
+        },
+    ];
+    let mut bytes = Vec::new();
+    for event in &events {
+        write_checkpoint_event(&mut bytes, JournalFormat::Jsonl, event)
+            .expect("in-memory checkpoint write");
+    }
     bytes
-}
-
-/// A scratch file path unique to this process + purpose (the checkpoint
-/// loader only speaks paths). `.jsonl` so format detection picks JSONL.
-fn scratch_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("snip-fuzz-{}-{}.jsonl", std::process::id(), tag))
 }
 
 // ---------------------------------------------------------------------------
@@ -593,7 +592,7 @@ fn mutate(rng: &mut XorShift64, input: &[u8], scratch: &[Vec<u8>]) -> Vec<u8> {
 
 /// The decode loop for one target. Runs on the worker thread, inside
 /// `catch_unwind`.
-fn decode(target: Target, input: &[u8], scratch: &Path) -> Outcome {
+fn decode(target: Target, input: &[u8]) -> Outcome {
     // Cap the number of records drained: a decoder that "succeeds"
     // forever on a small input would otherwise look like a hang.
     const MAX_RECORDS: u32 = 4096;
@@ -635,16 +634,10 @@ fn decode(target: Target, input: &[u8], scratch: &Path) -> Outcome {
                 }
             }
         }
-        Target::Checkpoint => {
-            if fs::write(scratch, input).is_err() {
-                return Outcome::Rejected;
-            }
-            let res = load_checkpoint(scratch);
-            match res {
-                Ok(load) => Outcome::Ok(load.shards.len() as u32),
-                Err(_) => Outcome::Rejected,
-            }
-        }
+        Target::Checkpoint => match read_checkpoint(input, JournalFormat::Jsonl) {
+            Ok(load) => Outcome::Ok(load.shards.len() as u32),
+            Err(_) => Outcome::Rejected,
+        },
     }
 }
 
@@ -695,25 +688,20 @@ impl Executor {
         self.generation += 1;
         let (job_tx, job_rx) = mpsc::channel::<(Target, Vec<u8>)>();
         let (out_tx, out_rx) = mpsc::channel::<Outcome>();
-        // Per-generation scratch file: an abandoned (hung) worker must
-        // not race its replacement on the checkpoint path.
-        let scratch = scratch_path(&format!("gen{}", self.generation));
         thread::Builder::new()
             .name(format!("snip-fuzz-worker-{}", self.generation))
             .spawn(move || {
                 SILENT_PANICS.with(|s| s.set(true));
                 while let Ok((target, input)) = job_rx.recv() {
-                    let outcome = match panic::catch_unwind(AssertUnwindSafe(|| {
-                        decode(target, &input, &scratch)
-                    })) {
-                        Ok(outcome) => outcome,
-                        Err(payload) => Outcome::Panic(panic_message(&payload)),
-                    };
+                    let outcome =
+                        match panic::catch_unwind(AssertUnwindSafe(|| decode(target, &input))) {
+                            Ok(outcome) => outcome,
+                            Err(payload) => Outcome::Panic(panic_message(&payload)),
+                        };
                     if out_tx.send(outcome).is_err() {
                         break;
                     }
                 }
-                let _ = fs::remove_file(&scratch);
             })
             .expect("spawn fuzz worker");
         self.tx = job_tx;

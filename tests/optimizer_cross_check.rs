@@ -2,11 +2,15 @@
 //! independent simplex LP solver, and optimizer vs closed-form analysis,
 //! on problem instances beyond the paper's single scenario.
 
+use proptest::prelude::*;
+use snip_rh_repro::snip_mobility::EpochProfile;
 use snip_rh_repro::snip_model::{
     LengthDistribution, ScenarioAnalysis, SlotProfile, SlotSpec, SnipModel,
 };
-use snip_rh_repro::snip_opt::{CapacityCurve, GreedyAllocator, LinearProgram, TwoStepOptimizer};
-use snip_rh_repro::snip_units::SimDuration;
+use snip_rh_repro::snip_opt::{
+    CapacityCurve, GreedyAllocator, LinearProgram, OptPlan, TwoStepOptimizer,
+};
+use snip_rh_repro::snip_units::{DutyCycle, SimDuration};
 
 /// Builds a profile with heterogeneous slots: different intervals *and*
 /// different contact lengths per slot — the general case of §V.
@@ -164,4 +168,150 @@ fn single_slot_profile_reduces_to_closed_form() {
     assert!(plan.meets_target());
     assert!((plan.phi() - 36.0).abs() < 1e-6, "Φ = {}", plan.phi());
     assert!((plan.duty_cycles()[0].as_fraction() - 0.01).abs() < 1e-9);
+}
+
+/// A contact-length distribution of each kind the model integrates
+/// differently: closed form (fixed, exponential) or adaptive Simpson.
+fn length_of_kind(kind: usize, mean: SimDuration) -> LengthDistribution {
+    match kind {
+        0 => LengthDistribution::fixed(mean),
+        1 => LengthDistribution::paper_normal(mean),
+        2 => LengthDistribution::exponential(mean),
+        3 => LengthDistribution::uniform(mean / 2, mean + mean / 2),
+        _ => LengthDistribution::log_normal(mean, mean / 3),
+    }
+}
+
+/// Slots of every length kind, several slot lengths and empty slots, with
+/// each distribution shared by some slots and not by others.
+fn mixed_profile() -> SlotProfile {
+    let specs = (0..24u64)
+        .map(|h| {
+            let length = SimDuration::from_secs(900 * (1 + h % 4));
+            if h % 7 == 6 {
+                return SlotSpec::empty(length);
+            }
+            let mean = SimDuration::from_millis(500 + 1_500 * (h % 3));
+            SlotSpec::new(
+                length,
+                SimDuration::from_secs(120 + 60 * h),
+                length_of_kind((h % 5) as usize, mean),
+            )
+        })
+        .collect();
+    SlotProfile::new(specs)
+}
+
+/// The two-step procedure run directly on `curves`: the plan
+/// [`TwoStepOptimizer::solve`] must return when its curves are these.
+fn plan_over(
+    curves: &[CapacityCurve],
+    phi_max: f64,
+    zeta_target: f64,
+) -> (Vec<DutyCycle>, f64, f64) {
+    let alloc = GreedyAllocator::new(curves.to_vec());
+    let step1 = alloc.maximize_capacity(phi_max);
+    let chosen = if step1.zeta < zeta_target {
+        step1
+    } else {
+        alloc
+            .minimize_energy(zeta_target)
+            .expect("reachable target")
+    };
+    let duty_cycles = chosen
+        .per_slot
+        .iter()
+        .zip(curves)
+        .map(|(&phi, c)| c.duty_cycle_for(phi.min(c.slot_seconds())))
+        .collect();
+    (duty_cycles, chosen.zeta, chosen.phi)
+}
+
+fn plan_parts(plan: &OptPlan) -> (Vec<DutyCycle>, f64, f64) {
+    (plan.duty_cycles().to_vec(), plan.zeta(), plan.phi())
+}
+
+/// The optimizer's curves, built with one Υ integration per distinct
+/// length distribution, equal the curves built slot by slot, and so do
+/// the plans solved on them, at both paper budgets and targets from
+/// easily met to unreachable.
+fn assert_shared_build_matches_per_slot(profile: &SlotProfile) {
+    let model = SnipModel::default();
+    let optimizer = TwoStepOptimizer::new(model, profile.clone());
+    let per_slot: Vec<CapacityCurve> = profile
+        .slots()
+        .iter()
+        .map(|s| CapacityCurve::for_slot(&model, s))
+        .collect();
+    assert_eq!(optimizer.allocator().curves(), per_slot.as_slice());
+    for phi_max in [86.4, 864.0] {
+        for target in [4.0, 16.0, 40.0, 56.0, 1_000.0] {
+            let plan = optimizer.solve(phi_max, target);
+            assert_eq!(
+                plan_parts(&plan),
+                plan_over(&per_slot, phi_max, target),
+                "Φmax={phi_max}, ζtarget={target}"
+            );
+        }
+    }
+}
+
+#[test]
+fn shared_curve_build_matches_per_slot_on_the_roadside_profile() {
+    assert_shared_build_matches_per_slot(&SlotProfile::roadside());
+}
+
+#[test]
+fn shared_curve_build_matches_per_slot_on_the_epoch_profiles() {
+    assert_shared_build_matches_per_slot(&EpochProfile::roadside_deterministic().to_slot_profile());
+    assert_shared_build_matches_per_slot(&EpochProfile::roadside().to_slot_profile());
+}
+
+#[test]
+fn shared_curve_build_matches_per_slot_with_empty_slots() {
+    let hour = SimDuration::from_hours(1);
+    let specs = (0..24)
+        .map(|h| {
+            if h < 6 || h == 12 {
+                SlotSpec::empty(hour)
+            } else {
+                SlotSpec::new(
+                    hour,
+                    SimDuration::from_secs(300 + 100 * h),
+                    LengthDistribution::paper_normal(SimDuration::from_secs(2)),
+                )
+            }
+        })
+        .collect();
+    assert_shared_build_matches_per_slot(&SlotProfile::new(specs));
+}
+
+#[test]
+fn shared_curve_build_matches_per_slot_with_mixed_lengths() {
+    assert_shared_build_matches_per_slot(&mixed_profile());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random per-slot distributions, drawn from a small pool of means so
+    /// that some slots share a distribution and others do not.
+    #[test]
+    fn prop_shared_curve_build_matches_per_slot(
+        slots in proptest::collection::vec((0usize..6, 0u64..3, 30u64..4_000, 1u64..8), 1..24),
+    ) {
+        let specs = slots
+            .iter()
+            .map(|&(kind, mean_at, interval_s, quarter_hours)| {
+                let length = SimDuration::from_secs(900 * quarter_hours);
+                if kind == 5 {
+                    SlotSpec::empty(length)
+                } else {
+                    let mean = SimDuration::from_millis([300, 2_000, 7_500][mean_at as usize]);
+                    SlotSpec::new(length, SimDuration::from_secs(interval_s), length_of_kind(kind, mean))
+                }
+            })
+            .collect();
+        assert_shared_build_matches_per_slot(&SlotProfile::new(specs));
+    }
 }
