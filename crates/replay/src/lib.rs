@@ -77,8 +77,6 @@ pub use event::{
     JournalEvent, JournalHeader, SchedulerSpec, JOURNAL_VERSION, MIN_SUPPORTED_JOURNAL_VERSION,
 };
 pub use frame::{FrameError, FrameReader, FrameWriter};
-pub use journal::{
-    convert, upgrade_to_v3, JournalError, JournalFormat, JournalReader, JournalWriter,
-};
+pub use journal::{convert, JournalError, JournalFormat, JournalReader, JournalWriter};
 pub use record::{record_run, RecordError, Recorder};
 pub use replay::{replay_run, Divergence, ReplayError, ReplayReport};

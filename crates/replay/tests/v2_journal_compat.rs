@@ -2,16 +2,15 @@
 //! metric records, the PR 2 format) are now **refused**, cleanly and
 //! with a migration hint — never mis-read, never half-replayed.
 //!
-//! History: v3 (PR 3) kept a legacy float-seconds decoder so v2 journals
-//! replayed bit-for-bit; PR 4 added a once-per-process deprecation
-//! warning and the byte-exact `snip convert --to-v3` migration. This PR
-//! removes the decoder and bumps `MIN_SUPPORTED_JOURNAL_VERSION` to 3,
-//! so the tests here pin the *rejection* path: a v2 journal is refused
-//! at the header by replay, refused by the migration entry point, and
-//! its metric records are refused by the value decoder — each with an
-//! actionable error. A v2 journal is synthesized exactly as the old
-//! compat suite built it (rewriting a fresh v3 recording into the v2
-//! wire shape), so what is being refused is the genuine v2 format.
+//! History: v3 kept a legacy float-seconds decoder so v2 journals
+//! replayed bit-for-bit, and older releases shipped a byte-exact
+//! `snip convert --to-v3` migration. The decoder and the migration are
+//! gone and `MIN_SUPPORTED_JOURNAL_VERSION` is 3, so the tests here pin
+//! the *rejection* path: a v2 journal is refused at the header by
+//! replay, and its metric records are refused by the value decoder —
+//! each with an actionable error. A v2 journal is synthesized exactly as
+//! the old compat suite built it (rewriting a fresh v3 recording into the
+//! v2 wire shape), so what is being refused is the genuine v2 format.
 
 use std::io::Cursor;
 
@@ -25,10 +24,10 @@ use snip_replay::journal::{JournalFormat, JournalReader, JournalWriter};
 use snip_replay::record::record_run;
 use snip_replay::replay::{replay_run, ReplayError};
 use snip_replay::{JournalEvent, MIN_SUPPORTED_JOURNAL_VERSION};
-use snip_sim::{RunMetrics, SimConfig};
+use snip_sim::SimConfig;
 use snip_units::DutyCycle;
 
-fn record_v3_jsonl() -> (Vec<u8>, RunMetrics) {
+fn record_v3_jsonl() -> Vec<u8> {
     let trace = TraceGenerator::new(EpochProfile::roadside())
         .epochs(2)
         .generate(&mut StdRng::seed_from_u64(21));
@@ -42,8 +41,8 @@ fn record_v3_jsonl() -> (Vec<u8>, RunMetrics) {
         22,
     );
     let mut writer = JournalWriter::new(Vec::new(), JournalFormat::Jsonl);
-    let metrics = record_run(&mut writer, &header, &trace).expect("in-memory record");
-    (writer.into_inner(), metrics)
+    record_run(&mut writer, &header, &trace).expect("in-memory record");
+    writer.into_inner()
 }
 
 /// Rewrites a v3 `EpochMetrics` value map into the v2 float-seconds shape.
@@ -162,7 +161,7 @@ fn min_supported_version_is_now_three() {
 
 #[test]
 fn v2_journal_is_refused_at_the_header() {
-    let (v3, _) = record_v3_jsonl();
+    let v3 = record_v3_jsonl();
     let v2 = downgrade_to_v2(&v3);
     assert_ne!(v2, v3, "the downgrade must actually change the bytes");
     assert!(
@@ -182,7 +181,7 @@ fn v2_metric_records_no_longer_decode() {
     // Below the header check, the value decoder itself refuses the v2
     // float-seconds shape — so a v2 record can never be half-read even by
     // code paths that skip the version gate.
-    let (v3, _) = record_v3_jsonl();
+    let v3 = record_v3_jsonl();
     let v2 = downgrade_to_v2(&v3);
     let text = std::str::from_utf8(&v2).unwrap();
     let run_end = text
@@ -198,18 +197,8 @@ fn v2_metric_records_no_longer_decode() {
 }
 
 #[test]
-fn migration_refuses_v2_with_a_pointer_at_older_releases() {
-    let (v3, _) = record_v3_jsonl();
-    let v2 = downgrade_to_v2(&v3);
-    let mut reader = JournalReader::new(Cursor::new(v2), JournalFormat::Jsonl);
-    let mut writer = JournalWriter::new(Vec::new(), JournalFormat::Jsonl);
-    let err = snip_replay::upgrade_to_v3(&mut reader, &mut writer).unwrap_err();
-    assert!(err.to_string().contains("older release"), "{err}");
-}
-
-#[test]
 fn versions_other_than_three_are_refused_by_replay() {
-    let (v3, _) = record_v3_jsonl();
+    let v3 = record_v3_jsonl();
     for bad_version in [1u64, 2, 4, 999] {
         let text = std::str::from_utf8(&v3).unwrap();
         let mut lines = text.lines();
@@ -244,37 +233,4 @@ fn versions_other_than_three_are_refused_by_replay() {
             other => panic!("version {bad_version} must be refused, got {other:?}"),
         }
     }
-}
-
-#[test]
-fn to_v3_is_still_an_idempotent_no_op_on_v3_journals() {
-    // Scripts that ran `snip convert --to-v3` as a hygiene step keep
-    // working: v3 in, byte-identical v3 out.
-    let (v3, recorded) = record_v3_jsonl();
-    let mut reader = JournalReader::new(Cursor::new(v3.clone()), JournalFormat::Jsonl);
-    let mut writer = JournalWriter::new(Vec::new(), JournalFormat::Jsonl);
-    let n = snip_replay::upgrade_to_v3(&mut reader, &mut writer).expect("v3 passes through");
-    assert!(n > 0);
-    let out = writer.into_inner();
-    assert_eq!(out, v3, "v3 passthrough must be byte-identical");
-
-    // And the passthrough output still replays with the exact metrics.
-    let mut reader = JournalReader::new(Cursor::new(out), JournalFormat::Jsonl);
-    let report = replay_run(&mut reader, None).expect("v3 journal replays");
-    assert_eq!(report.metrics, recorded);
-}
-
-#[test]
-fn migration_refuses_headerless_streams() {
-    let (v3, _) = record_v3_jsonl();
-    let text = std::str::from_utf8(&v3).unwrap();
-    let headerless: Vec<u8> = text
-        .split_once('\n')
-        .expect("journal has lines")
-        .1
-        .as_bytes()
-        .to_vec();
-    let mut reader = JournalReader::new(Cursor::new(headerless), JournalFormat::Jsonl);
-    let mut writer = JournalWriter::new(Vec::new(), JournalFormat::Jsonl);
-    assert!(snip_replay::upgrade_to_v3(&mut reader, &mut writer).is_err());
 }
