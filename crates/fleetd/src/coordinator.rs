@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 use snip_obs::metrics::{Counter, Gauge, Histogram};
 use snip_opt::OptPlan;
 use snip_replay::checkpoint::{
@@ -285,6 +285,13 @@ pub const TOKEN_ENV_VAR: &str = "SNIP_FLEET_TOKEN";
 /// of a shard.
 const JOIN_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// How long a resuming redial waits for the peer thread of its dropped
+/// connection to park the session. That teardown takes microseconds
+/// after a sever; the grace only absorbs scheduling delays. A connection
+/// that died silently keeps its thread until the shard timeout, so its
+/// redial falls back to a fresh session once the grace runs out.
+const RESUME_GRACE: Duration = Duration::from_secs(1);
+
 /// Most connections allowed to sit in the pre-auth (pre-`Join`) phase at
 /// once; accepts beyond it are closed immediately. Honest fleets
 /// authenticate within milliseconds, so this only throttles floods.
@@ -341,6 +348,9 @@ struct SessionEntry {
 /// bookkeeping starts from the pre-encode state instead of re-scanning.
 struct InitFrame {
     frame: PreEncoded,
+    /// The spec hash the frame announces — the run's one
+    /// [`FleetSpec::spec_hash`], read by the handshake and the checkpoint.
+    spec_hash: u64,
     /// Keys of the plans baked into the frame.
     plan_keys: Vec<String>,
     /// Plan-store generation at pre-encode time.
@@ -374,9 +384,12 @@ struct RunState {
     /// [`MAX_PREAUTH_PEERS`]).
     preauth_peers: AtomicUsize,
     last_activity: Mutex<Instant>,
-    /// Dropped workers' resumable sessions, by session id. An entry is
-    /// taken when its worker redials; live peers have no entry.
-    sessions: Mutex<BTreeMap<u64, SessionEntry>>,
+    /// Admitted sessions by id: `None` while a peer serves the session,
+    /// the parked bookkeeping once its worker dropped. A redial takes the
+    /// parked entry back.
+    sessions: Mutex<BTreeMap<u64, Option<SessionEntry>>>,
+    /// Signalled whenever a peer releases its session.
+    session_released: Condvar,
     next_session: AtomicU64,
     reconnects: AtomicU64,
     resumed_shards: AtomicU64,
@@ -426,11 +439,59 @@ impl RunState {
             // snip-lint: allow(wall-clock): "idle-timeout liveness clock; deadline bookkeeping only"
             last_activity: Mutex::new(Instant::now()),
             sessions: Mutex::new(BTreeMap::new()),
+            session_released: Condvar::new(),
             next_session: AtomicU64::new(1),
             reconnects: AtomicU64::new(0),
             resumed_shards: AtomicU64::new(0),
             checkpoint: checkpoint.map(Mutex::new),
             preloaded: preloaded.len() as u64,
+        }
+    }
+
+    /// Marks session `sid` as served by a live peer.
+    fn hold_session(&self, sid: u64) {
+        self.sessions
+            .lock()
+            .expect("session table poisoned")
+            .insert(sid, None);
+    }
+
+    /// Ends a peer's hold on session `sid`: a lost peer parks its
+    /// bookkeeping for a redial to resume, any other outcome forgets the
+    /// session. Wakes redials waiting in [`RunState::resume_session`].
+    fn release_session(&self, sid: u64, parked: Option<SessionEntry>) {
+        let mut sessions = self.sessions.lock().expect("session table poisoned");
+        match parked {
+            Some(entry) => sessions.insert(sid, Some(entry)),
+            None => sessions.remove(&sid),
+        };
+        self.session_released.notify_all();
+    }
+
+    /// Takes parked session `sid` for a redial, which then holds it. A
+    /// worker redials the moment its socket drops, so its `Join` can
+    /// outrun the peer thread that still serves the dropped connection:
+    /// a held session is waited for, up to [`RESUME_GRACE`].
+    fn resume_session(&self, sid: u64) -> Option<SessionEntry> {
+        // snip-lint: allow(wall-clock): "resume wait deadline; connection bookkeeping only"
+        let deadline = Instant::now() + RESUME_GRACE;
+        let mut sessions = self.sessions.lock().expect("session table poisoned");
+        loop {
+            match sessions.get_mut(&sid) {
+                Some(slot @ Some(_)) => return slot.take(),
+                Some(None) => {}
+                None => return None,
+            }
+            // snip-lint: allow(wall-clock): "resume wait deadline; connection bookkeeping only"
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            sessions = self
+                .session_released
+                .wait_timeout(sessions, left)
+                .expect("session table poisoned")
+                .0;
         }
     }
 
@@ -623,6 +684,21 @@ fn batch_reply_matches(results: &[ShardResult], batch: &[Shard]) -> bool {
         })
 }
 
+/// The `name` field of an `Init` message tree (`{"Init": {fields}}`, the
+/// derived externally tagged shape).
+fn init_field<'a>(msg: &'a mut Value, name: &str) -> &'a mut Value {
+    let Value::Map(variant) = msg else {
+        unreachable!("CoordinatorMsg encodes as a map");
+    };
+    let Some((_, Value::Map(fields))) = variant.first_mut() else {
+        unreachable!("Init encodes as a one-entry map of its fields");
+    };
+    fields
+        .iter_mut()
+        .find_map(|(key, value)| (key == name).then_some(value))
+        .expect("Init has the field")
+}
+
 /// Constant-time token comparison (length aside): a byte-wise early exit
 /// would hand a dialing stranger a timing oracle on the shared secret.
 fn token_matches(presented: &str, expected: &str) -> bool {
@@ -813,7 +889,8 @@ impl FleetDriver {
     pub fn run(&self) -> Result<FleetRun, DriverError> {
         let runner = JobRunner::new(&self.spec);
         let shards = self.shards();
-        let (preloaded, checkpoint) = self.prepare_checkpoint(&shards)?;
+        let init = self.encode_init();
+        let (preloaded, checkpoint) = self.prepare_checkpoint(&shards, init.spec_hash)?;
         let state = RunState::new(&shards, preloaded, checkpoint);
 
         let obs = fleet_metrics();
@@ -828,7 +905,6 @@ impl FleetDriver {
             state.total
         );
 
-        let init = self.encode_init();
         let dispatch = match &self.tcp {
             None => {
                 self.run_pipe(&state, &init)?;
@@ -921,7 +997,9 @@ impl FleetDriver {
     /// shared placeholder `session: 0` (real ids travel in the `Session`
     /// frame), and every plan accumulated so far. One serialization per
     /// run, not per peer — on a wide fleet the spec-bearing `Init` was
-    /// the single largest per-peer encode cost.
+    /// the single largest per-peer encode cost. The spec hash comes from
+    /// the `spec` entry of the same value tree, so the spec is converted
+    /// once and hashed once per run.
     fn encode_init(&self) -> InitFrame {
         let store = self.plans.lock().expect("plan set poisoned");
         let generation = store.generation;
@@ -935,15 +1013,19 @@ impl FleetDriver {
             .collect();
         drop(store);
         let plan_keys = plans.iter().map(|e| e.key.clone()).collect();
-        let msg = CoordinatorMsg::Init {
+        let mut msg = CoordinatorMsg::Init {
             protocol: PROTOCOL_VERSION,
             spec: self.spec.clone(),
-            spec_hash: self.spec.spec_hash(),
+            spec_hash: 0,
             session: 0,
             plans,
-        };
+        }
+        .to_value();
+        let spec_hash = FleetSpec::hash_value(init_field(&mut msg, "spec"));
+        *init_field(&mut msg, "spec_hash") = spec_hash.to_value();
         InitFrame {
             frame: PreEncoded::new(&msg),
+            spec_hash,
             plan_keys,
             generation,
         }
@@ -956,6 +1038,7 @@ impl FleetDriver {
     fn prepare_checkpoint(
         &self,
         shards: &[Shard],
+        spec_hash: u64,
     ) -> Result<(BTreeMap<u64, Vec<RunMetrics>>, Option<CheckpointWriter>), DriverError> {
         let Some(path) = &self.checkpoint_path else {
             return Ok((BTreeMap::new(), None));
@@ -964,7 +1047,7 @@ impl FleetDriver {
         if !self.resume {
             let header = CheckpointHeader {
                 version: CHECKPOINT_VERSION,
-                spec_hash: self.spec.spec_hash(),
+                spec_hash,
                 total_shards: shards.len() as u64,
                 name: self.spec.name.clone(),
             };
@@ -975,12 +1058,11 @@ impl FleetDriver {
 
         let load = load_checkpoint(path)
             .map_err(|e| err(format!("cannot resume from {}: {e}", path.display())))?;
-        if load.header.spec_hash != self.spec.spec_hash() {
+        if load.header.spec_hash != spec_hash {
             return Err(err(format!(
-                "{} checkpoints a different run: spec hash {:#x} != this spec's {:#x}",
+                "{} checkpoints a different run: spec hash {:#x} != this spec's {spec_hash:#x}",
                 path.display(),
                 load.header.spec_hash,
-                self.spec.spec_hash()
             )));
         }
         if load.header.total_shards != shards.len() as u64 {
@@ -1290,7 +1372,7 @@ impl FleetDriver {
                 let rejection = CoordinatorMsg::Init {
                     protocol: PROTOCOL_VERSION,
                     spec: self.spec.clone(),
-                    spec_hash: self.spec.spec_hash(),
+                    spec_hash: init.spec_hash,
                     session: 0,
                     plans: vec![],
                 };
@@ -1424,28 +1506,17 @@ impl FleetDriver {
     ) -> PeerOutcome {
         // snip-lint: allow(wall-clock): "handshake latency metric; observability only"
         let handshake_start = Instant::now();
-        let spec_hash = self.spec.spec_hash();
+        let spec_hash = init.spec_hash;
         let obs = fleet_metrics();
-        let resumed = resume.and_then(|sid| {
-            state
-                .sessions
-                .lock()
-                .expect("session table poisoned")
-                .remove(&sid)
-                .map(|entry| (sid, entry))
-        });
+        let resumed = resume.and_then(|sid| state.resume_session(sid).map(|entry| (sid, entry)));
         let save_session = |sid: u64, shipped: BTreeSet<String>, seen_generation: u64| {
-            state
-                .sessions
-                .lock()
-                .expect("session table poisoned")
-                .insert(
-                    sid,
-                    SessionEntry {
-                        shipped,
-                        seen_generation,
-                    },
-                );
+            state.release_session(
+                sid,
+                Some(SessionEntry {
+                    shipped,
+                    seen_generation,
+                }),
+            );
         };
         let (session_id, mut shipped, mut seen_generation) = match resumed {
             Some((
@@ -1550,6 +1621,7 @@ impl FleetDriver {
                         };
                     }
                 }
+                state.hold_session(sid);
                 state.admitted.fetch_add(1, Ordering::Relaxed);
                 obs.workers.inc();
                 obs.handshake_us.observe(handshake_start.elapsed());
@@ -1672,6 +1744,8 @@ impl FleetDriver {
         // with this id, it picks up where the socket dropped.
         if matches!(outcome, PeerOutcome::Lost) {
             save_session(session_id, shipped, seen_generation);
+        } else {
+            state.release_session(session_id, None);
         }
         let serve_us = snip_obs::metrics::duration_us(serve_start.elapsed());
         snip_obs::metrics::counter(&format!("snip_peer_busy_us_total{{peer=\"{worker_idx}\"}}"))
@@ -1695,7 +1769,9 @@ impl FleetDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::example_spec;
+    use crate::spec::{example_spec, JobSpec};
+    use snip_mobility::EpochProfile;
+    use snip_replay::frame::FrameWriter;
 
     #[test]
     fn shard_cutting_covers_the_job_list_exactly() {
@@ -1761,6 +1837,67 @@ mod tests {
         let addr = driver.local_addr().expect("tcp mode knows its address");
         assert_eq!(addr.ip().to_string(), "127.0.0.1");
         assert_ne!(addr.port(), 0);
+    }
+
+    #[test]
+    fn preencoded_init_is_the_typed_init_frame() {
+        let sweep = FleetSpec {
+            name: "sweep-demo".into(),
+            seed: 7,
+            epochs: 2,
+            phi_max_secs: 86.4,
+            job: JobSpec::Sweep {
+                profile: EpochProfile::roadside(),
+                zeta_targets: vec![16.0, 32.0],
+            },
+        };
+        for spec in [example_spec(), sweep] {
+            let init = FleetDriver::new(spec.clone(), 2).unwrap().encode_init();
+            assert_eq!(init.spec_hash, spec.spec_hash());
+            let mut typed = Vec::new();
+            FrameWriter::new_binary(&mut typed)
+                .send(&CoordinatorMsg::Init {
+                    protocol: PROTOCOL_VERSION,
+                    spec_hash: spec.spec_hash(),
+                    spec,
+                    session: 0,
+                    plans: vec![],
+                })
+                .unwrap();
+            assert_eq!(&init.frame.bytes[..], &typed[..]);
+        }
+    }
+
+    #[test]
+    fn a_redial_waits_for_its_dropped_connection_to_park_the_session() {
+        let state = RunState::new(&[], BTreeMap::new(), None);
+        assert!(
+            state.resume_session(7).is_none(),
+            "unknown sessions fall back"
+        );
+        state.hold_session(1);
+        std::thread::scope(|s| {
+            // The dropped connection's peer thread parks the session late.
+            // Either order must resume; the delay makes the one where the
+            // redial is already waiting the likely one.
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                state.release_session(
+                    1,
+                    Some(SessionEntry {
+                        shipped: BTreeSet::from(["plan".to_string()]),
+                        seen_generation: 3,
+                    }),
+                );
+            });
+            let entry = state.resume_session(1).expect("the parked session resumes");
+            assert_eq!(entry.seen_generation, 3);
+            assert!(entry.shipped.contains("plan"));
+        });
+        // The resuming peer now holds the session; a finished peer
+        // forgets it.
+        state.release_session(1, None);
+        assert!(state.resume_session(1).is_none());
     }
 
     #[test]

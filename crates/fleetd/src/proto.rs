@@ -25,7 +25,11 @@
 //! transport ships the same pre-framed bytes. The per-peer session id
 //! therefore moved out of the hot frame: `Init` carries the placeholder
 //! `session: 0` (never a real id — sessions start at 1) and the tiny
-//! `Session` frame that follows assigns the real one.
+//! `Session` frame that follows assigns the real one. The spec hash is
+//! computed once per run too, from the same value tree the frame is
+//! encoded from: the coordinator converts the spec once, hashes the
+//! tree's `spec` entry, and reuses that hash for every peer's `Ready`
+//! check, the checkpoint header and the version-skew rejection.
 //!
 //! **Batched shards.** `Shard` deals up to `--shard-batch` shard jobs in
 //! one frame; the worker computes them all and answers with one
@@ -45,7 +49,10 @@
 //! coordinator merges idempotently by shard index) or a fresh `Ready`,
 //! and the shard loop continues. A coordinator that does *not* know the
 //! session (it restarted, or the run is a new one) falls back to a plain
-//! `Init`, and the worker starts a fresh session.
+//! `Init`, and the worker starts a fresh session. A redial can arrive
+//! before the coordinator has torn down the dropped connection; it waits
+//! briefly for that teardown to park the session rather than falling
+//! back.
 //!
 //! **Authentication and identity.** A worker dialing in over TCP
 //! authenticates first: `Join` carries the shared secret from the

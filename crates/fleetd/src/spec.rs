@@ -9,7 +9,7 @@
 //! `(spec, i)`, so any process that holds the spec computes bit-identical
 //! metrics for it.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use snip_core::{MechanismScheduler, SnipAt, SnipOptScheduler, SnipRh, SnipRhConfig};
 use snip_mobility::EpochProfile;
 use snip_model::SnipModel;
@@ -129,9 +129,18 @@ impl FleetSpec {
     /// flight — is refused before any shard is dealt, never merged.
     #[must_use]
     pub fn spec_hash(&self) -> u64 {
+        Self::hash_value(&self.to_value())
+    }
+
+    /// [`FleetSpec::spec_hash`] from the spec's own `to_value()` tree, for
+    /// a caller that already holds it (the coordinator hashes the `spec`
+    /// entry of the `Init` tree it encodes). Never hash a `Value` decoded
+    /// off the wire: derived decoding ignores unknown keys, so a worker
+    /// build that drops a spec field would still match the coordinator.
+    pub(crate) fn hash_value(value: &Value) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let canonical = serde::json::to_string(&self.to_value());
+        let canonical = serde::json::to_string(value);
         let mut hash = FNV_OFFSET;
         for byte in canonical.bytes() {
             hash ^= u64::from(byte);
@@ -367,6 +376,13 @@ mod tests {
         let text = serde::json::to_string(&spec.to_value());
         let back = FleetSpec::from_json(&text).expect("round trip");
         assert_eq!(back, spec);
+    }
+
+    #[test]
+    fn example_spec_hash_is_pinned() {
+        // Checkpoint headers store this hash: a change here strands every
+        // journal written by an earlier build.
+        assert_eq!(example_spec().spec_hash(), 0x4513_57e3_ae2b_298d);
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! spec-bearing `Init`) are encoded once into a [`PreEncoded`] and sent
 //! through [`Transport::send_preencoded`]: binary transports ship the
 //! shared bytes verbatim with a single write, while value-level wrappers
-//! (the fault injector) fall back to the decoded value so they can still
-//! observe and mutate the message.
+//! (the fault injector) decode the bytes back into a value so they can
+//! still observe and mutate the message. The coordinator builds `Init`'s
+//! value tree once per run and takes both the frame and the spec hash
+//! from it; a [`PreEncoded`] keeps only the bytes.
 //!
 //! **Deadlines.** Receives take an optional timeout. Internally every
 //! transport pumps its read side through a dedicated thread into a
@@ -50,19 +52,19 @@ use snip_replay::frame::{
 /// A message encoded into its final binary wire frame once, shared
 /// across peers as cheap `Arc` clones. The coordinator pre-encodes
 /// `Init` this way: one serialization per run instead of one per peer.
+/// Only the bytes are kept — no decoded tree lives for the whole run.
 pub struct PreEncoded {
-    /// The decoded message, for value-level transports (fault wrappers).
-    pub value: Value,
     /// The complete binary frame: header plus canonical CBOR payload.
     pub bytes: Arc<[u8]>,
 }
 
 impl PreEncoded {
-    /// Encodes `msg` into one shared binary frame.
-    pub fn new<T: Serialize + ?Sized>(msg: &T) -> Self {
-        let value = msg.to_value();
-        let bytes: Arc<[u8]> = encode_binary_frame(&value).into();
-        PreEncoded { value, bytes }
+    /// Encodes the message tree `value` into one shared binary frame.
+    #[must_use]
+    pub fn new(value: &Value) -> Self {
+        PreEncoded {
+            bytes: encode_binary_frame(value).into(),
+        }
     }
 }
 
@@ -134,16 +136,19 @@ pub trait Transport: Send {
 
     /// Sends one pre-encoded frame. Binary transports override this to
     /// ship the shared bytes verbatim (no re-serialization, one write);
-    /// the default re-encodes `frame.value` through [`Transport::send_value`]
-    /// so value-level wrappers (the fault injector) keep observing and
-    /// mutating the message — the canonical codec makes both paths
-    /// byte-identical on the wire.
+    /// the default decodes the bytes and sends the tree through
+    /// [`Transport::send_value`] so value-level wrappers (the fault
+    /// injector) keep observing and mutating the message — the canonical
+    /// codec makes both paths byte-identical on the wire.
     ///
     /// # Errors
     ///
     /// Returns [`FrameError`] when the stream is broken or severed.
     fn send_preencoded(&mut self, frame: &PreEncoded) -> Result<(), FrameError> {
-        self.send_value(&frame.value)
+        let value = FrameReader::new(&frame.bytes[..])
+            .recv_value()?
+            .ok_or(FrameError::Truncated)?;
+        self.send_value(&value)
     }
 
     /// Sends `v` as a *legacy JSON* frame regardless of the transport's
@@ -575,6 +580,30 @@ impl<W: Write + Send> Drop for StreamTransport<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{CoordinatorMsg, PROTOCOL_VERSION};
+    use crate::spec::example_spec;
+
+    /// A value-level wrapper like the fault injector: it forwards values
+    /// and keeps the default [`Transport::send_preencoded`].
+    struct ValueLevel<'a>(&'a mut dyn Transport);
+
+    impl Transport for ValueLevel<'_> {
+        fn send_value(&mut self, v: &Value) -> Result<(), FrameError> {
+            self.0.send_value(v)
+        }
+
+        fn recv_value(&mut self, timeout: Option<Duration>) -> Result<Option<Value>, RecvError> {
+            self.0.recv_value(timeout)
+        }
+
+        fn sever(&mut self) {
+            self.0.sever();
+        }
+
+        fn peer(&self) -> String {
+            self.0.peer()
+        }
+    }
 
     #[test]
     fn stream_transport_round_trips_values_with_deadlines() {
@@ -661,13 +690,25 @@ mod tests {
         let mut a = TcpTransport::accept(server).unwrap();
         let mut b = TcpTransport::wrap(client, MAX_FRAME_BYTES).unwrap();
 
-        let pre = PreEncoded::new(&Value::Str("shared-init".into()));
+        let init = CoordinatorMsg::Init {
+            protocol: PROTOCOL_VERSION,
+            spec: example_spec(),
+            spec_hash: example_spec().spec_hash(),
+            session: 0,
+            plans: vec![],
+        }
+        .to_value();
+        let pre = PreEncoded::new(&init);
+        // The binary path ships the bytes verbatim; a value-level wrapper
+        // takes the default path, which decodes them and re-encodes.
         b.send_preencoded(&pre).unwrap();
+        ValueLevel(&mut b).send_preencoded(&pre).unwrap();
         b.send_legacy_json(&Value::Str("legacy-rejection".into()))
             .unwrap();
         b.send_value(&Value::U64(9)).unwrap();
         for expect in [
-            Value::Str("shared-init".into()),
+            init.clone(),
+            init.clone(),
             Value::Str("legacy-rejection".into()),
             Value::U64(9),
         ] {

@@ -18,7 +18,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 struct Sink {
@@ -36,6 +36,13 @@ const STATE_ON: u8 = 2;
 static STATE: AtomicU8 = AtomicU8::new(STATE_UNPROBED);
 static SINK: Mutex<Option<Sink>> = Mutex::new(None);
 
+/// Locks the sink, recovering it from a panic under the lock: the worst a
+/// panicking writer leaves behind is a torn trace line, and one panic must
+/// not turn every later span or log call into a panic too.
+fn sink() -> MutexGuard<'static, Option<Sink>> {
+    SINK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn open_sink(path: &Path) -> Option<Sink> {
     let mut out = BufWriter::new(File::create(path).ok()?);
     out.write_all(b"[\n").ok()?;
@@ -50,7 +57,7 @@ fn open_sink(path: &Path) -> Option<Sink> {
 /// `init_file`; a lazy env probe that found tracing disabled does not
 /// count). Returns `true` when this call opened the sink.
 pub fn init_file(path: &Path) -> bool {
-    let mut sink = SINK.lock().expect("trace sink poisoned");
+    let mut sink = sink();
     if sink.is_some() {
         return false;
     }
@@ -67,7 +74,7 @@ pub fn init_file(path: &Path) -> bool {
 /// The slow path of [`enabled`]: probe `SNIP_TRACE` once, under the sink
 /// lock so a racing `init_file` cannot be clobbered.
 fn probe_env() -> bool {
-    let mut sink = SINK.lock().expect("trace sink poisoned");
+    let mut sink = sink();
     match STATE.load(Ordering::Acquire) {
         STATE_ON => return true,
         STATE_OFF => return false,
@@ -127,7 +134,7 @@ fn with_sink(f: impl FnOnce(&mut Sink)) {
     if !enabled() {
         return;
     }
-    let mut sink = SINK.lock().expect("trace sink poisoned");
+    let mut sink = sink();
     if let Some(s) = sink.as_mut() {
         f(s);
     }
@@ -273,6 +280,35 @@ mod tests {
             assert!(text.contains("\"name\":\"unit-test-instant\""));
             assert!(text.contains("\"ph\":\"i\""));
             assert!(text.contains("\"name\":\"unit-test-event\""));
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn a_panic_under_the_sink_lock_does_not_poison_later_calls() {
+        let panicked = std::thread::spawn(|| {
+            let _sink = sink();
+            panic!("deliberate panic while holding the trace sink");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(SINK.is_poisoned());
+        // Every entry point still returns normally, whether this call or
+        // another test opened the process-wide sink.
+        let path = std::env::temp_dir().join(format!(
+            "snip-obs-trace-poison-test-{}.json",
+            std::process::id()
+        ));
+        let opened = init_file(&path);
+        {
+            let _span = crate::span!("after-poison-span");
+        }
+        instant("after-poison-instant");
+        crate::event!(crate::log::Level::Debug, "after-poison-event");
+        if opened {
+            let text = std::fs::read_to_string(&path).expect("trace file readable");
+            assert!(text.contains("\"name\":\"after-poison-span\""));
+            assert!(text.contains("\"name\":\"after-poison-instant\""));
             let _ = std::fs::remove_file(&path);
         }
     }
