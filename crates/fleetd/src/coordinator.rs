@@ -36,12 +36,12 @@
 //! drops redials and resumes its session: each result of its in-flight
 //! `ShardDone` batch is accepted exactly once — the merge is idempotent
 //! by shard ordinal, duplicates are logged and dropped. A scriptable
-//! [`ChaosPlan`](crate::fault::ChaosPlan) can injure any peer's
+//! [`ChaosPlan`] can injure any peer's
 //! transport at exact frame ordinals to drill all of the above, and
 //! [`DriverError::Incomplete`] carries the completed shards next to the
 //! missing manifest so `--partial-ok` can salvage a wrecked run.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -53,14 +53,13 @@ use std::time::{Duration, Instant};
 
 use serde::{Serialize, Value};
 use snip_obs::metrics::{Counter, Gauge, Histogram};
-use snip_opt::OptPlan;
 use snip_replay::checkpoint::{
     load_checkpoint, CheckpointHeader, CheckpointWriter, CHECKPOINT_VERSION,
 };
 use snip_sim::RunMetrics;
 
 use crate::fault::{ChaosPlan, FaultTransport};
-use crate::proto::{CoordinatorMsg, PlanEntry, ShardJob, ShardResult, WorkerMsg, PROTOCOL_VERSION};
+use crate::proto::{CoordinatorMsg, ShardJob, ShardResult, WorkerMsg, PROTOCOL_VERSION};
 use crate::spec::{FleetOutput, FleetSpec, JobRunner};
 use crate::transport::{
     recv_msg, send_msg, PipeTransport, PreEncoded, RecvError, TcpTransport, Transport,
@@ -162,11 +161,6 @@ pub struct DriverStats {
     pub peers_rejected: usize,
     /// Shards that had to be re-queued from a lost worker.
     pub shards_reassigned: u64,
-    /// SNIP-OPT plan entries shipped to workers (`Init` + `Shard`).
-    pub plans_shipped: u64,
-    /// Worker-side solves answered by coordinator-shipped plans — the
-    /// cross-worker cache hits the plan shipping exists for.
-    pub plan_seed_hits: u64,
     /// Dropped TCP workers that redialed and resumed their session.
     pub reconnects: u64,
     /// `ShardDone` results delivered on a resumed session (in-flight work
@@ -182,17 +176,14 @@ impl fmt::Display for DriverStats {
         write!(
             f,
             "{} job(s) in {} shard(s) on {} worker(s); {} worker(s) lost, \
-             {} peer(s) rejected, {} shard(s) reassigned, {} plan(s) shipped, \
-             {} cross-worker plan hit(s), {} reconnect(s), {} resumed shard(s), \
-             {} checkpointed shard(s) skipped",
+             {} peer(s) rejected, {} shard(s) reassigned, {} reconnect(s), \
+             {} resumed shard(s), {} checkpointed shard(s) skipped",
             self.jobs,
             self.shards,
             self.workers,
             self.workers_lost,
             self.peers_rejected,
             self.shards_reassigned,
-            self.plans_shipped,
-            self.plan_seed_hits,
             self.reconnects,
             self.resumed_shards,
             self.checkpoint_shards
@@ -212,8 +203,6 @@ struct FleetMetrics {
     workers_lost: &'static Counter,
     peers_rejected: &'static Counter,
     shards_reassigned: &'static Counter,
-    plans_shipped: &'static Counter,
-    plan_seed_hits: &'static Counter,
     reconnects: &'static Counter,
     resumed_shards: &'static Counter,
     /// Time a shard sat queued before a worker pulled it.
@@ -239,8 +228,6 @@ fn fleet_metrics() -> &'static FleetMetrics {
         workers_lost: counter("snip_fleet_workers_lost_total"),
         peers_rejected: counter("snip_fleet_peers_rejected_total"),
         shards_reassigned: counter("snip_fleet_shards_reassigned_total"),
-        plans_shipped: counter("snip_fleet_plans_shipped_total"),
-        plan_seed_hits: counter("snip_fleet_plan_seed_hits_total"),
         reconnects: counter("snip_fleet_reconnects_total"),
         resumed_shards: counter("snip_fleet_resumed_shards_total"),
         queue_us: histogram("snip_shard_queue_us"),
@@ -304,6 +291,10 @@ struct TcpState {
 }
 
 /// The transport-generic fleet driver. See the module docs.
+///
+/// A driver keeps no state between [`FleetDriver::run`] calls: every run
+/// deals, merges and reports from scratch, and its workers solve their
+/// own SNIP-OPT plans.
 pub struct FleetDriver {
     spec: FleetSpec,
     workers: usize,
@@ -320,41 +311,15 @@ pub struct FleetDriver {
     /// truncating it.
     checkpoint_path: Option<PathBuf>,
     resume: bool,
-    /// SNIP-OPT plans accumulated from workers, persisted across `run`
-    /// calls on the same driver (repeated bench runs re-ship warm plans).
-    plans: Mutex<PlanStore>,
-}
-
-/// The coordinator's accumulated plan set plus a generation counter, so
-/// a peer that is already up to date skips the per-shard rescan.
-#[derive(Default)]
-struct PlanStore {
-    map: BTreeMap<String, OptPlan>,
-    /// Bumped whenever `map` gains an entry.
-    generation: u64,
-}
-
-/// What the coordinator remembers about a dropped worker so a redial can
-/// resume the session: the plan-shipping bookkeeping, which would
-/// otherwise re-ship every plan the worker already holds.
-struct SessionEntry {
-    shipped: BTreeSet<String>,
-    seen_generation: u64,
 }
 
 /// The run's `Init`, encoded into its wire frame exactly once and shipped
-/// to every fresh peer verbatim ([`Transport::send_preencoded`]). The
-/// plan snapshot it carries is recorded so each admitted peer's shipping
-/// bookkeeping starts from the pre-encode state instead of re-scanning.
+/// to every fresh peer verbatim ([`Transport::send_preencoded`]).
 struct InitFrame {
     frame: PreEncoded,
     /// The spec hash the frame announces — the run's one
     /// [`FleetSpec::spec_hash`], read by the handshake and the checkpoint.
     spec_hash: u64,
-    /// Keys of the plans baked into the frame.
-    plan_keys: Vec<String>,
-    /// Plan-store generation at pre-encode time.
-    generation: u64,
 }
 
 /// Everything one run's peers share: the shard queue, the result slots,
@@ -377,17 +342,15 @@ struct RunState {
     lost: AtomicUsize,
     rejected: AtomicUsize,
     reassigned: AtomicU64,
-    plans_shipped: AtomicU64,
-    seed_hits: AtomicU64,
     active_peers: AtomicUsize,
     /// Peers accepted but not yet past `Join` (capped at
     /// [`MAX_PREAUTH_PEERS`]).
     preauth_peers: AtomicUsize,
     last_activity: Mutex<Instant>,
-    /// Admitted sessions by id: `None` while a peer serves the session,
-    /// the parked bookkeeping once its worker dropped. A redial takes the
-    /// parked entry back.
-    sessions: Mutex<BTreeMap<u64, Option<SessionEntry>>>,
+    /// Admitted sessions by id: `false` while a peer serves the session
+    /// (held), `true` once its worker dropped (parked). A redial takes a
+    /// parked session back.
+    sessions: Mutex<BTreeMap<u64, bool>>,
     /// Signalled whenever a peer releases its session.
     session_released: Condvar,
     next_session: AtomicU64,
@@ -432,8 +395,6 @@ impl RunState {
             lost: AtomicUsize::new(0),
             rejected: AtomicUsize::new(0),
             reassigned: AtomicU64::new(0),
-            plans_shipped: AtomicU64::new(0),
-            seed_hits: AtomicU64::new(0),
             active_peers: AtomicUsize::new(0),
             preauth_peers: AtomicUsize::new(0),
             // snip-lint: allow(wall-clock): "idle-timeout liveness clock; deadline bookkeeping only"
@@ -453,39 +414,44 @@ impl RunState {
         self.sessions
             .lock()
             .expect("session table poisoned")
-            .insert(sid, None);
+            .insert(sid, false);
     }
 
-    /// Ends a peer's hold on session `sid`: a lost peer parks its
-    /// bookkeeping for a redial to resume, any other outcome forgets the
-    /// session. Wakes redials waiting in [`RunState::resume_session`].
-    fn release_session(&self, sid: u64, parked: Option<SessionEntry>) {
+    /// Ends a peer's hold on session `sid`: a lost peer parks it for a
+    /// redial to resume, any other outcome forgets it. Wakes redials
+    /// waiting in [`RunState::resume_session`].
+    fn release_session(&self, sid: u64, park: bool) {
         let mut sessions = self.sessions.lock().expect("session table poisoned");
-        match parked {
-            Some(entry) => sessions.insert(sid, Some(entry)),
-            None => sessions.remove(&sid),
-        };
+        if park {
+            sessions.insert(sid, true);
+        } else {
+            sessions.remove(&sid);
+        }
         self.session_released.notify_all();
     }
 
-    /// Takes parked session `sid` for a redial, which then holds it. A
-    /// worker redials the moment its socket drops, so its `Join` can
-    /// outrun the peer thread that still serves the dropped connection:
-    /// a held session is waited for, up to [`RESUME_GRACE`].
-    fn resume_session(&self, sid: u64) -> Option<SessionEntry> {
+    /// Takes parked session `sid` for a redial, which then holds it;
+    /// `false` when the run does not know the session. A worker redials
+    /// the moment its socket drops, so its `Join` can outrun the peer
+    /// thread that still serves the dropped connection: a held session is
+    /// waited for, up to [`RESUME_GRACE`].
+    fn resume_session(&self, sid: u64) -> bool {
         // snip-lint: allow(wall-clock): "resume wait deadline; connection bookkeeping only"
         let deadline = Instant::now() + RESUME_GRACE;
         let mut sessions = self.sessions.lock().expect("session table poisoned");
         loop {
             match sessions.get_mut(&sid) {
-                Some(slot @ Some(_)) => return slot.take(),
-                Some(None) => {}
-                None => return None,
+                Some(parked @ true) => {
+                    *parked = false;
+                    return true;
+                }
+                Some(false) => {}
+                None => return false,
             }
             // snip-lint: allow(wall-clock): "resume wait deadline; connection bookkeeping only"
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                return None;
+                return false;
             }
             sessions = self
                 .session_released
@@ -735,7 +701,6 @@ impl FleetDriver {
             chaos: None,
             checkpoint_path: None,
             resume: false,
-            plans: Mutex::new(PlanStore::default()),
         })
     }
 
@@ -926,10 +891,6 @@ impl FleetDriver {
             .add(state.rejected.load(Ordering::Relaxed) as u64);
         obs.shards_reassigned
             .add(state.reassigned.load(Ordering::Relaxed));
-        obs.plans_shipped
-            .add(state.plans_shipped.load(Ordering::Relaxed));
-        obs.plan_seed_hits
-            .add(state.seed_hits.load(Ordering::Relaxed));
         obs.reconnects.add(state.reconnects.load(Ordering::Relaxed));
         obs.resumed_shards
             .add(state.resumed_shards.load(Ordering::Relaxed));
@@ -984,8 +945,6 @@ impl FleetDriver {
                 workers_lost,
                 peers_rejected: state.rejected.load(Ordering::Relaxed),
                 shards_reassigned: state.reassigned.load(Ordering::Relaxed),
-                plans_shipped: state.plans_shipped.load(Ordering::Relaxed),
-                plan_seed_hits: state.seed_hits.load(Ordering::Relaxed),
                 reconnects: state.reconnects.load(Ordering::Relaxed),
                 resumed_shards: state.resumed_shards.load(Ordering::Relaxed),
                 checkpoint_shards: state.preloaded,
@@ -995,30 +954,18 @@ impl FleetDriver {
 
     /// Pre-encodes the run's `Init` frame: protocol, spec, spec hash, the
     /// shared placeholder `session: 0` (real ids travel in the `Session`
-    /// frame), and every plan accumulated so far. One serialization per
+    /// frame) and the reserved, empty `plans`. One serialization per
     /// run, not per peer — on a wide fleet the spec-bearing `Init` was
     /// the single largest per-peer encode cost. The spec hash comes from
     /// the `spec` entry of the same value tree, so the spec is converted
     /// once and hashed once per run.
     fn encode_init(&self) -> InitFrame {
-        let store = self.plans.lock().expect("plan set poisoned");
-        let generation = store.generation;
-        let plans: Vec<PlanEntry> = store
-            .map
-            .iter()
-            .map(|(key, plan)| PlanEntry {
-                key: key.clone(),
-                plan: plan.clone(),
-            })
-            .collect();
-        drop(store);
-        let plan_keys = plans.iter().map(|e| e.key.clone()).collect();
         let mut msg = CoordinatorMsg::Init {
             protocol: PROTOCOL_VERSION,
             spec: self.spec.clone(),
             spec_hash: 0,
             session: 0,
-            plans,
+            plans: Vec::new(),
         }
         .to_value();
         let spec_hash = FleetSpec::hash_value(init_field(&mut msg, "spec"));
@@ -1026,8 +973,6 @@ impl FleetDriver {
         InitFrame {
             frame: PreEncoded::new(&msg),
             spec_hash,
-            plan_keys,
-            generation,
         }
     }
 
@@ -1442,53 +1387,6 @@ impl FleetDriver {
         }
     }
 
-    /// Plans the peer has not been sent yet; marks them shipped. The
-    /// store's generation counter makes the warm steady state — nothing
-    /// new since this peer's last assignment — an O(1) check instead of
-    /// a full rescan under the lock.
-    fn plans_for(
-        &self,
-        shipped: &mut BTreeSet<String>,
-        seen_generation: &mut u64,
-        state: &RunState,
-    ) -> Vec<PlanEntry> {
-        let store = self.plans.lock().expect("plan set poisoned");
-        if store.generation == *seen_generation {
-            return Vec::new();
-        }
-        let delta: Vec<PlanEntry> = store
-            .map
-            .iter()
-            .filter(|(key, _)| !shipped.contains(*key))
-            .map(|(key, plan)| PlanEntry {
-                key: key.clone(),
-                plan: plan.clone(),
-            })
-            .collect();
-        *seen_generation = store.generation;
-        drop(store);
-        for entry in &delta {
-            shipped.insert(entry.key.clone());
-        }
-        state
-            .plans_shipped
-            .fetch_add(delta.len() as u64, Ordering::Relaxed);
-        delta
-    }
-
-    /// Folds a worker's newly solved plans into the global store (and
-    /// marks them shipped to that worker — it obviously has them).
-    fn absorb_plans(&self, plans: Vec<PlanEntry>, shipped: &mut BTreeSet<String>) {
-        let mut store = self.plans.lock().expect("plan set poisoned");
-        for entry in plans {
-            shipped.insert(entry.key.clone());
-            if let std::collections::btree_map::Entry::Vacant(slot) = store.map.entry(entry.key) {
-                slot.insert(entry.plan);
-                store.generation += 1;
-            }
-        }
-    }
-
     /// Speaks the post-authentication protocol with one peer until the
     /// queue drains or the peer is lost (any in-flight shard re-queued
     /// first). Transport-generic: this is the whole worker lifecycle for
@@ -1508,24 +1406,9 @@ impl FleetDriver {
         let handshake_start = Instant::now();
         let spec_hash = init.spec_hash;
         let obs = fleet_metrics();
-        let resumed = resume.and_then(|sid| state.resume_session(sid).map(|entry| (sid, entry)));
-        let save_session = |sid: u64, shipped: BTreeSet<String>, seen_generation: u64| {
-            state.release_session(
-                sid,
-                Some(SessionEntry {
-                    shipped,
-                    seen_generation,
-                }),
-            );
-        };
-        let (session_id, mut shipped, mut seen_generation) = match resumed {
-            Some((
-                sid,
-                SessionEntry {
-                    mut shipped,
-                    seen_generation,
-                },
-            )) => {
+        let resumed = resume.filter(|&sid| state.resume_session(sid));
+        let session_id = match resumed {
+            Some(sid) => {
                 // The worker was admitted on its first connection —
                 // resuming re-counts nothing, only the reconnect itself.
                 state.reconnects.fetch_add(1, Ordering::Relaxed);
@@ -1536,7 +1419,7 @@ impl FleetDriver {
                     transport.peer()
                 );
                 if send_msg(transport, &CoordinatorMsg::Resumed { session: sid }).is_err() {
-                    save_session(sid, shipped, seen_generation);
+                    state.release_session(sid, true);
                     transport.sever();
                     return PeerOutcome::Lost;
                 }
@@ -1547,20 +1430,15 @@ impl FleetDriver {
                 // ordinal, and every result is validated against the
                 // shard table before any of them merge.
                 match self.recv_peer(transport, state) {
-                    Some(WorkerMsg::ShardDone {
-                        results,
-                        plans,
-                        seeded_hits,
-                    }) if !results.is_empty()
-                        && results.iter().all(|r| {
-                            state
-                                .shards
-                                .get(r.id as usize)
-                                .is_some_and(|s| r.metrics.len() as u64 == s.end - s.start)
-                        }) =>
+                    Some(WorkerMsg::ShardDone { results, .. })
+                        if !results.is_empty()
+                            && results.iter().all(|r| {
+                                state
+                                    .shards
+                                    .get(r.id as usize)
+                                    .is_some_and(|s| r.metrics.len() as u64 == s.end - s.start)
+                            }) =>
                     {
-                        self.absorb_plans(plans, &mut shipped);
-                        state.seed_hits.fetch_add(seeded_hits, Ordering::Relaxed);
                         for ShardResult { id, metrics } in results {
                             let shard = state.shards[id as usize];
                             if state.finish_shard(shard, metrics) {
@@ -1580,24 +1458,15 @@ impl FleetDriver {
                         spec_hash: echoed,
                     }) if protocol == PROTOCOL_VERSION && echoed == spec_hash => {}
                     _ => {
-                        save_session(sid, shipped, seen_generation);
+                        state.release_session(sid, true);
                         transport.sever();
                         return PeerOutcome::Lost;
                     }
                 }
-                (sid, shipped, seen_generation)
+                sid
             }
             None => {
                 let sid = state.next_session.fetch_add(1, Ordering::Relaxed);
-                // The peer's plan bookkeeping starts from the pre-encode
-                // snapshot: the frame already carries those plans, so
-                // they count as shipped and the generation is the one
-                // the snapshot was taken at.
-                let shipped: BTreeSet<String> = init.plan_keys.iter().cloned().collect();
-                let seen_generation = init.generation;
-                state
-                    .plans_shipped
-                    .fetch_add(init.plan_keys.len() as u64, Ordering::Relaxed);
                 if transport.send_preencoded(&init.frame).is_err()
                     || send_msg(transport, &CoordinatorMsg::Session { session: sid }).is_err()
                 {
@@ -1630,7 +1499,7 @@ impl FleetDriver {
                     "peer {worker_idx} ({}) admitted as session {sid}",
                     transport.peer()
                 );
-                (sid, shipped, seen_generation)
+                sid
             }
         };
 
@@ -1663,7 +1532,7 @@ impl FleetDriver {
                         end: s.end,
                     })
                     .collect(),
-                plans: self.plans_for(&mut shipped, &mut seen_generation, state),
+                plans: Vec::new(),
             };
             let requeue_batch = |state: &RunState| {
                 for &shard in &batch {
@@ -1679,12 +1548,10 @@ impl FleetDriver {
             }
             let reply = loop {
                 break match self.recv_peer(transport, state) {
-                    Some(WorkerMsg::ShardDone {
-                        results,
-                        plans,
-                        seeded_hits,
-                    }) if batch_reply_matches(&results, &batch) => {
-                        Some((results, plans, seeded_hits))
+                    Some(WorkerMsg::ShardDone { results, .. })
+                        if batch_reply_matches(&results, &batch) =>
+                    {
+                        Some(results)
                     }
                     // A re-delivery of an already-merged batch — a
                     // chaos-injected repeat, or a re-send racing its own
@@ -1706,12 +1573,10 @@ impl FleetDriver {
                 };
             };
             match reply {
-                Some((results, plans, seeded_hits)) => {
+                Some(results) => {
                     let round_trip = compute_start.elapsed();
                     obs.compute_us.observe(round_trip);
                     busy_us += snip_obs::metrics::duration_us(round_trip);
-                    self.absorb_plans(plans, &mut shipped);
-                    state.seed_hits.fetch_add(seeded_hits, Ordering::Relaxed);
                     for ShardResult { id, metrics } in results {
                         state.finish_shard(state.shards[id as usize], metrics);
                         done_here += 1;
@@ -1742,11 +1607,7 @@ impl FleetDriver {
         };
         // A lost peer's session stays resumable: if the worker redials
         // with this id, it picks up where the socket dropped.
-        if matches!(outcome, PeerOutcome::Lost) {
-            save_session(session_id, shipped, seen_generation);
-        } else {
-            state.release_session(session_id, None);
-        }
+        state.release_session(session_id, matches!(outcome, PeerOutcome::Lost));
         let serve_us = snip_obs::metrics::duration_us(serve_start.elapsed());
         snip_obs::metrics::counter(&format!("snip_peer_busy_us_total{{peer=\"{worker_idx}\"}}"))
             .add(busy_us);
@@ -1869,12 +1730,63 @@ mod tests {
     }
 
     #[test]
+    fn a_snip_opt_run_leaves_the_next_init_frame_unchanged() {
+        use crate::spec::NodeSpec;
+        use crate::worker::{run_worker_tcp, ConnectOptions};
+        // A ζtarget no other test solves, so the run's worker really
+        // solves (and caches) a plan of its own.
+        let nodes = (0..2)
+            .map(|i| NodeSpec {
+                name: format!("opt-{i}"),
+                profile: EpochProfile::roadside(),
+                zeta_target: 16.0 + 17e-9,
+            })
+            .collect();
+        let spec = FleetSpec {
+            name: "init-stays-put".into(),
+            seed: 5,
+            epochs: 1,
+            phi_max_secs: 86.4,
+            job: JobSpec::Fleet {
+                mechanism: snip_sim::Mechanism::SnipOpt,
+                nodes,
+            },
+        };
+        let driver = FleetDriver::new(spec.clone(), 1)
+            .unwrap()
+            .with_shard_timeout(Duration::from_secs(60))
+            .with_tcp(TcpConfig {
+                listen: "127.0.0.1:0".into(),
+                token: "init-token".into(),
+                spawn_workers: false,
+            })
+            .expect("ephemeral bind succeeds");
+        let before = driver.encode_init();
+        let opts = ConnectOptions {
+            addr: driver.local_addr().unwrap(),
+            token: "init-token".into(),
+            retry_for: Duration::from_secs(10),
+            backoff_seed: 1,
+        };
+        let run = std::thread::scope(|s| {
+            let worker = s.spawn(|| run_worker_tcp(&opts, 1));
+            let run = driver.run().expect("the run succeeds");
+            worker.join().unwrap().expect("the worker stops cleanly");
+            run
+        });
+        assert_eq!(run.output, JobRunner::new(&spec).run_sequential());
+        let after = driver.encode_init();
+        assert_eq!(
+            &after.frame.bytes[..],
+            &before.frame.bytes[..],
+            "a run must not carry state into the next run's Init"
+        );
+    }
+
+    #[test]
     fn a_redial_waits_for_its_dropped_connection_to_park_the_session() {
         let state = RunState::new(&[], BTreeMap::new(), None);
-        assert!(
-            state.resume_session(7).is_none(),
-            "unknown sessions fall back"
-        );
+        assert!(!state.resume_session(7), "unknown sessions fall back");
         state.hold_session(1);
         std::thread::scope(|s| {
             // The dropped connection's peer thread parks the session late.
@@ -1882,22 +1794,14 @@ mod tests {
             // redial is already waiting the likely one.
             s.spawn(|| {
                 std::thread::sleep(Duration::from_millis(50));
-                state.release_session(
-                    1,
-                    Some(SessionEntry {
-                        shipped: BTreeSet::from(["plan".to_string()]),
-                        seen_generation: 3,
-                    }),
-                );
+                state.release_session(1, true);
             });
-            let entry = state.resume_session(1).expect("the parked session resumes");
-            assert_eq!(entry.seen_generation, 3);
-            assert!(entry.shipped.contains("plan"));
+            assert!(state.resume_session(1), "the parked session resumes");
         });
         // The resuming peer now holds the session; a finished peer
         // forgets it.
-        state.release_session(1, None);
-        assert!(state.resume_session(1).is_none());
+        state.release_session(1, false);
+        assert!(!state.resume_session(1));
     }
 
     #[test]

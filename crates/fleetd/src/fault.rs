@@ -26,9 +26,9 @@ use std::io;
 use std::time::Duration;
 
 use serde::{json, Deserialize, Serialize, Value};
-use snip_replay::frame::FrameError;
+use snip_replay::frame::{encode_binary_frame, FrameError, BINARY_HEADER_BYTES};
 
-use crate::transport::{RecvError, Transport};
+use crate::transport::{PreEncoded, RecvError, Transport};
 
 /// Which side of the wrapped transport an action strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,11 +51,11 @@ pub enum FaultKind {
         /// Stall duration in milliseconds.
         ms: u64,
     },
-    /// Tear the frame mid-write: the peer receives a damaged frame
-    /// (length header promising bytes that never arrive, or an
-    /// undecodable payload), then the connection is cut. On Rx this acts
-    /// as [`FaultKind::Sever`] — an inbound tear is indistinguishable
-    /// from one.
+    /// Tear the frame mid-write: the peer receives the frame's binary
+    /// header and half its payload — a length promising bytes that never
+    /// arrive — then the connection is cut. On Rx this acts as
+    /// [`FaultKind::Sever`] — an inbound tear is indistinguishable from
+    /// one.
     Truncate,
     /// Deliver the frame twice (the duplicate immediately follows the
     /// original).
@@ -197,9 +197,15 @@ impl Transport for FaultTransport {
                 self.inner.send_value(v)?;
             }
             Some(FaultKind::Truncate) => {
-                // The tear is the peer's problem; this side discovers the
-                // cut on its next operation, like a real mid-write crash.
-                let _ = self.inner.send_truncated(v);
+                // A real protocol-4 frame, torn: the header and half the
+                // payload, written verbatim by every transport. The tear
+                // is the peer's problem; this side discovers the cut on
+                // its next operation, like a real mid-write crash.
+                let mut bytes = encode_binary_frame(v);
+                bytes.truncate(BINARY_HEADER_BYTES + (bytes.len() - BINARY_HEADER_BYTES) / 2);
+                let _ = self.inner.send_preencoded(&PreEncoded {
+                    bytes: bytes.into(),
+                });
                 self.inner.sever();
                 return Ok(());
             }
@@ -296,10 +302,6 @@ impl Transport for FaultTransport {
 
     fn sever(&mut self) {
         self.inner.sever();
-    }
-
-    fn send_truncated(&mut self, v: &Value) -> Result<(), FrameError> {
-        self.inner.send_truncated(v)
     }
 
     fn unlock_frame_limit(&mut self) {
@@ -414,6 +416,29 @@ mod tests {
         t.send_value(&v(1)).unwrap();
         assert!(t.send_value(&v(2)).is_err(), "the severed send must error");
         assert_eq!(frames_in(&out), vec![v(1)], "frame 2 never hit the wire");
+    }
+
+    #[test]
+    fn tx_truncate_tears_a_real_binary_frame() {
+        let plan = FaultPlan {
+            actions: vec![FaultAction {
+                dir: FaultDirection::Tx,
+                at_frame: 1,
+                kind: FaultKind::Truncate,
+            }],
+        };
+        let out = SharedBuf::default();
+        let mut t = wrap(Vec::new(), out.clone(), plan);
+        let msg = Value::Str("a frame long enough to tear in half".into());
+        t.send_value(&msg).unwrap();
+        let bytes = out.0.lock().unwrap().clone();
+        assert_eq!(bytes[0], snip_replay::frame::BINARY_FRAME_MAGIC);
+        let mut r = snip_replay::frame::FrameReader::new(Cursor::new(bytes));
+        assert!(
+            matches!(r.recv_value(), Err(FrameError::Truncated)),
+            "the peer must read a torn frame, not a message"
+        );
+        assert!(t.send_value(&v(2)).is_err(), "the tear severs the link");
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //!   sequential [`Fleet::run`]/[`ScenarioRunner::sweep`] for every
 //!   transport, worker count, steal order, and kill interleaving —
 //!   `assert_eq!`, not "approximately".
-//! * **Global plan cache** — workers ship their solved SNIP-OPT plans
-//!   back with each shard, the coordinator re-ships the accumulated set
-//!   to every peer, so a same-profile fleet solves each plan once
-//!   globally instead of once per process.
+//! * **Local plans** — each worker solves its SNIP-OPT plans through its
+//!   own process-wide plan cache. Plans are pure functions of their
+//!   inputs and a cold solve costs tens of microseconds, so nothing is
+//!   shipped between processes.
 //!
 //! The `snip` CLI (hosted here, at the top of the workspace) surfaces the
 //! driver as `snip fleet --spec <file> --workers <k>`,

@@ -19,8 +19,8 @@
 //! coordinator → worker   Shutdown
 //! ```
 //!
-//! **Pre-encoded `Init`.** The `Init` payload (spec + accumulated plans)
-//! is by far the largest frame, and it is identical for every fresh
+//! **Pre-encoded `Init`.** The spec-bearing `Init` payload is by far the
+//! largest frame on a wide fleet, and it is identical for every fresh
 //! peer — so the coordinator encodes it **once per run** and every
 //! transport ships the same pre-framed bytes. The per-peer session id
 //! therefore moved out of the hot frame: `Init` carries the placeholder
@@ -73,12 +73,14 @@
 //! created their stdio, there is nothing to authenticate — but the
 //! spec-hash exchange is identical.
 //!
-//! **Plan shipping.** `Init` and `Shard` carry the coordinator's
-//! accumulated set of solved SNIP-OPT plans (only entries the receiving
-//! worker has not been sent yet), and `ShardDone` returns plans the
-//! worker solved itself plus how many solves its seeded entries answered
-//! — so a same-profile fleet solves each plan once globally, and the
-//! cross-worker reuse is observable in `DriverStats::plan_seed_hits`.
+//! **Reserved plan fields.** `Init.plans`, `Shard.plans`,
+//! `ShardDone.plans` and `ShardDone.seeded_hits` once shipped solved
+//! SNIP-OPT plans between processes. Every worker now solves its own
+//! plans (a cold solve costs tens of microseconds), so both sides always
+//! send these fields empty or zero and ignore them on receipt. They stay
+//! in the shape so protocol-4 peers built before the change still
+//! interoperate: a plan such a peer sends is one the receiver's local
+//! solve reproduces bit for bit. Protocol 5 can drop them.
 //!
 //! Results carry full exact-ledger [`RunMetrics`] (the journal codec's
 //! integer-µs shape), never floats-of-floats, so the coordinator's merge
@@ -108,13 +110,15 @@ use crate::spec::FleetSpec;
 /// * 4 — binary wire: length-prefixed CBOR frames, `Init` pre-encoded
 ///   once per run (`session: 0` placeholder + `Session` frame), batched
 ///   `Shard { jobs }` / `ShardDone { results }`, and a legacy-JSON typed
-///   rejection for authenticated version-skewed peers.
+///   rejection for authenticated version-skewed peers. Plan shipping has
+///   since been retired without a version bump: the plan fields are
+///   reserved and always sent empty.
 pub const PROTOCOL_VERSION: u32 = 4;
 
-/// One solved SNIP-OPT plan under its exact cache key, as shipped between
-/// processes. The key is the solver's own bit-exact composite (model +
-/// profile JSON + raw scalar bits), opaque to the protocol; both sides
-/// compute keys with the same code version, which the handshake enforces.
+/// One solved SNIP-OPT plan under its exact cache key: the element type
+/// of the reserved `plans` fields. Never sent (the lists always travel
+/// empty) and ignored on receipt; kept so the protocol-4 message shapes
+/// decode unchanged until protocol 5 drops it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanEntry {
     /// The plan cache key ([`snip_opt::solve_cached`]'s exact-input key).
@@ -147,9 +151,9 @@ pub struct ShardResult {
 /// Messages the coordinator sends to a worker.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CoordinatorMsg {
-    /// The handshake: protocol version plus the complete job spec, its
-    /// digest, and every plan the coordinator has accumulated so far.
-    /// Encoded once per run and shipped to every fresh peer verbatim.
+    /// The handshake: protocol version plus the complete job spec and its
+    /// digest. Encoded once per run and shipped to every fresh peer
+    /// verbatim.
     Init {
         /// [`PROTOCOL_VERSION`] of the coordinator.
         protocol: u32,
@@ -164,7 +168,8 @@ pub enum CoordinatorMsg {
         /// the shape so a protocol-3 worker can decode the version-skew
         /// rejection.
         session: u64,
-        /// Warm SNIP-OPT plans to seed the worker's cache with.
+        /// Reserved: always empty, ignored on receipt (dropped in
+        /// protocol 5).
         plans: Vec<PlanEntry>,
     },
     /// Assigns the per-peer session id right after `Init`. A worker whose
@@ -187,7 +192,8 @@ pub enum CoordinatorMsg {
     Shard {
         /// The assigned shards, at least one, at most `--shard-batch`.
         jobs: Vec<ShardJob>,
-        /// Plans accumulated since this worker was last sent any.
+        /// Reserved: always empty, ignored on receipt (dropped in
+        /// protocol 5).
         plans: Vec<PlanEntry>,
     },
     /// No more work; the worker exits cleanly.
@@ -222,17 +228,17 @@ pub enum WorkerMsg {
         /// decoded — must equal the hash `Init` announced.
         spec_hash: u64,
     },
-    /// A completed batch: exactly one result per assigned shard (each
-    /// with one exact-ledger metrics entry per job, in job order), plus
-    /// the worker's newly solved plans.
+    /// A completed batch: exactly one result per assigned shard, each
+    /// with one exact-ledger metrics entry per job, in job order.
     ShardDone {
         /// One result per shard of the answered batch, in assignment
         /// order.
         results: Vec<ShardResult>,
-        /// Plans this worker solved that it has not reported before.
+        /// Reserved: always empty, ignored on receipt (dropped in
+        /// protocol 5).
         plans: Vec<PlanEntry>,
-        /// Solves during this batch answered by coordinator-seeded plans
-        /// (cross-worker cache hits).
+        /// Reserved: always zero, ignored on receipt (dropped in
+        /// protocol 5).
         seeded_hits: u64,
     },
 }

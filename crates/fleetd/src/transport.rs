@@ -117,23 +117,6 @@ pub trait Transport: Send {
     /// subsequent sends and receives on this side fail. Idempotent.
     fn sever(&mut self);
 
-    /// Sends a deliberately damaged rendition of `v` — the fault
-    /// injector's "crash mid-write". The peer must observe a frame error
-    /// (or a payload that fails typed decode), never a clean copy of `v`.
-    ///
-    /// The default writes a placeholder payload that no protocol message
-    /// decodes as — enough to poison the peer's typed receive on
-    /// transports whose framing cannot be torn from this side (pipes,
-    /// in-memory streams). [`TcpTransport`] overrides it with a genuine
-    /// torn frame: a length header promising more bytes than follow.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameError`] when the stream is already broken.
-    fn send_truncated(&mut self, _v: &Value) -> Result<(), FrameError> {
-        self.send_value(&Value::Str("«torn frame»".into()))
-    }
-
     /// Sends one pre-encoded frame. Binary transports override this to
     /// ship the shared bytes verbatim (no re-serialization, one write);
     /// the default decodes the bytes and sends the tree through
@@ -463,19 +446,6 @@ impl Transport for TcpTransport {
         // frame boundary here, and the receiving reader dispatches on the
         // first byte.
         FrameWriter::new(&mut self.ctl).send_value(v)
-    }
-
-    fn send_truncated(&mut self, v: &Value) -> Result<(), FrameError> {
-        // A genuine torn frame: the length header promises the whole
-        // payload, the socket carries only half of it. Written straight to
-        // the control handle — the frame writer flushes per frame, so the
-        // stream is at a frame boundary here.
-        let body = serde::json::to_string(v);
-        let half = &body.as_bytes()[..body.len() / 2];
-        self.ctl.write_all(format!("{}\n", body.len()).as_bytes())?;
-        self.ctl.write_all(half)?;
-        self.ctl.flush()?;
-        Ok(())
     }
 
     fn unlock_frame_limit(&mut self) {

@@ -4,13 +4,15 @@
 //! of a coordinator-spawned re-exec, or a TCP socket it dialed with
 //! `snip fleet-worker --connect ADDR --token-file F`. It receives the
 //! spec once (verifying the coordinator's spec hash against the spec it
-//! actually decoded), seeds its SNIP-OPT plan cache with whatever the
-//! coordinator has accumulated, then serves shard batches until
-//! `Shutdown` (or EOF — a vanished coordinator is a clean stop, not a
-//! crash: the coordinator owns failure handling, the worker just
-//! computes). All simulation happens through [`JobRunner::run_job`], the
-//! same pure function of `(spec, index)` the coordinator's verification
-//! path uses, so every transport yields bit-identical metrics.
+//! actually decoded), then serves shard batches until `Shutdown` (or EOF
+//! — a vanished coordinator is a clean stop, not a crash: the
+//! coordinator owns failure handling, the worker just computes). All
+//! simulation happens through [`JobRunner::run_job`], the same pure
+//! function of `(spec, index)` the coordinator's verification path uses,
+//! so every transport yields bit-identical metrics. SNIP-OPT plans are
+//! solved locally, through this process's own plan cache: the reserved
+//! `plans` fields of `Init` and `Shard` are ignored, and `ShardDone`
+//! sends them empty.
 //!
 //! **Reconnect-with-resume (TCP).** A dialing worker remembers the
 //! session id its `Init` assigned. When the socket drops mid-run it
@@ -22,7 +24,6 @@
 //! the worker starts over cleanly. Pipe workers never reconnect: their
 //! transport *is* their parent process.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::io::{BufRead, Write};
 use std::net::SocketAddr;
@@ -30,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use snip_replay::frame::FrameError;
 
-use crate::proto::{CoordinatorMsg, PlanEntry, ShardJob, ShardResult, WorkerMsg, PROTOCOL_VERSION};
+use crate::proto::{CoordinatorMsg, ShardJob, ShardResult, WorkerMsg, PROTOCOL_VERSION};
 use crate::spec::JobRunner;
 use crate::transport::{recv_msg, send_msg, RecvError, StreamTransport, TcpTransport, Transport};
 
@@ -93,7 +94,7 @@ const BACKOFF_BASE: Duration = Duration::from_millis(50);
 const BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 /// Seeded jittered exponential backoff for coordinator dials. Delays
-/// double from [`BACKOFF_BASE`] toward [`BACKOFF_CAP`], each drawn
+/// double from 50 ms toward a 2 s per-attempt cap, each drawn
 /// uniformly from `[d/2, d]` by a private xorshift64 stream — so a fleet
 /// of workers restarting together fans out instead of thundering back in
 /// lockstep, while any single worker's schedule is reproducible from its
@@ -154,8 +155,8 @@ pub struct WorkerSummary {
 }
 
 /// Everything a worker must remember across a socket drop to resume: the
-/// session identity, the decoded job, the plan-reporting bookkeeping, and
-/// the `ShardDone` the coordinator may not have received.
+/// session identity, the decoded job, and the `ShardDone` the coordinator
+/// may not have received.
 struct Session {
     /// The id the `Session` frame assigned (presented as
     /// `Join { resume }` on redial). `None` until that frame arrives:
@@ -164,8 +165,6 @@ struct Session {
     session: Option<u64>,
     runner: Option<JobRunner>,
     spec_hash: u64,
-    /// Plan keys already known to the coordinator — never reported back.
-    reported: BTreeSet<String>,
     /// The last `ShardDone` sent but not yet acknowledged by any
     /// subsequent coordinator message; re-sent after a resume.
     pending: Option<WorkerMsg>,
@@ -178,7 +177,6 @@ impl Session {
             session: None,
             runner: None,
             spec_hash: 0,
-            reported: BTreeSet::new(),
             pending: None,
             summary: WorkerSummary { shards: 0, jobs: 0 },
         }
@@ -262,7 +260,7 @@ fn serve_once(
             spec,
             spec_hash,
             session: _,
-            plans,
+            plans: _,
         }) => {
             if protocol != PROTOCOL_VERSION {
                 return Err(WorkerError::Protocol(format!(
@@ -277,7 +275,6 @@ fn serve_once(
                      spec hashes to {local_hash:#018x} (corrupted spec or skewed codec)"
                 )));
             }
-            seed_plans(&plans);
             // A fresh Init in answer to a resume request means the
             // coordinator restarted: the old session — pending result
             // included — is void. Since protocol 4 the Init frame is
@@ -288,13 +285,6 @@ fn serve_once(
             session.runner = Some(JobRunner::new(&spec));
             session.spec_hash = local_hash;
             session.pending = None;
-            // Plans already known to the coordinator (everything it
-            // seeded plus everything in this process before the run) are
-            // never reported back.
-            session.reported = snip_opt::cached_plans()
-                .into_iter()
-                .map(|(key, _)| key)
-                .collect();
             send_msg(
                 transport,
                 &WorkerMsg::Ready {
@@ -379,7 +369,7 @@ fn serve_once(
             CoordinatorMsg::Session { session: sid } => {
                 session.session = Some(sid);
             }
-            CoordinatorMsg::Shard { jobs, plans } => {
+            CoordinatorMsg::Shard { jobs, plans: _ } => {
                 if jobs.is_empty() {
                     return Err(WorkerError::Protocol("empty shard batch".into()));
                 }
@@ -391,11 +381,6 @@ fn serve_once(
                         )));
                     }
                 }
-                seed_plans(&plans);
-                for entry in &plans {
-                    session.reported.insert(entry.key.clone());
-                }
-                let seeded_before = snip_opt::plan_cache_stats().seeded_hits;
                 let mut results = Vec::with_capacity(jobs.len());
                 for ShardJob { id, start, end } in &jobs {
                     // snip-lint: allow(wall-clock): "shard compute-latency metric; observability only"
@@ -410,19 +395,10 @@ fn serve_once(
                     session.summary.shards += 1;
                     session.summary.jobs += end - start;
                 }
-                let seeded_hits = snip_opt::plan_cache_stats().seeded_hits - seeded_before;
-                let new_plans: Vec<PlanEntry> =
-                    snip_opt::cached_plans_where(|key| !session.reported.contains(key))
-                        .into_iter()
-                        .map(|(key, plan)| PlanEntry { key, plan })
-                        .collect();
-                for entry in &new_plans {
-                    session.reported.insert(entry.key.clone());
-                }
                 let done = WorkerMsg::ShardDone {
                     results,
-                    plans: new_plans,
-                    seeded_hits,
+                    plans: Vec::new(),
+                    seeded_hits: 0,
                 };
                 // The batch is computed either way; only the delivery is
                 // in doubt, so the summary counts it above and `pending`
@@ -465,12 +441,6 @@ fn recv_first(
         )),
         Err(_) if eof_is_disconnect => Ok(First::Disconnected),
         Err(e) => Err(e.into()),
-    }
-}
-
-fn seed_plans(plans: &[PlanEntry]) {
-    for entry in plans {
-        snip_opt::seed_plan(entry.key.clone(), entry.plan.clone());
     }
 }
 
@@ -718,6 +688,102 @@ mod tests {
                 let merged: Vec<RunMetrics> = results.into_iter().flat_map(|r| r.metrics).collect();
                 let reference: Vec<RunMetrics> = (0..4).map(|i| runner.run_job(i)).collect();
                 assert_eq!(merged, reference);
+            }
+            other => panic!("expected ShardDone, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn shipped_plans_are_ignored_and_none_are_sent_back() {
+        use crate::proto::PlanEntry;
+        use crate::spec::{JobSpec, NodeSpec};
+        use serde::{json, Serialize as _};
+        use snip_model::SnipModel;
+
+        // One SNIP-OPT node at a ζtarget no other test solves.
+        let target = 16.0 + 19e-9;
+        let profile = snip_mobility::EpochProfile::roadside();
+        let spec = FleetSpec {
+            name: "ignore-plans".into(),
+            seed: 3,
+            epochs: 2,
+            phi_max_secs: 86.4,
+            job: JobSpec::Fleet {
+                mechanism: snip_sim::Mechanism::SnipOpt,
+                nodes: vec![NodeSpec {
+                    name: "opt".into(),
+                    profile: profile.clone(),
+                    zeta_target: target,
+                }],
+            },
+        };
+        // A plan solved for another target, filed under the job's exact
+        // plan-cache key: a worker that used it would report different
+        // metrics than a local solve. Both references bypass the plan
+        // cache, which a worker sharing this process could have touched.
+        let model = SnipModel::new(spec.sim_config().ton);
+        let slots = profile.to_slot_profile();
+        let optimizer = snip_opt::TwoStepOptimizer::new(model, slots.clone());
+        let wrong = optimizer.solve(spec.phi_max_secs, target * 1.5);
+        let run_with = |plan: snip_opt::OptPlan| {
+            snip_sim::Fleet::new(
+                vec![snip_sim::FleetNode::new("opt", profile.clone(), target)],
+                spec.sim_config(),
+            )
+            .with_seed(spec.seed)
+            .run_node(
+                0,
+                snip_core::MechanismScheduler::from(snip_core::SnipOptScheduler::new(plan, &slots)),
+            )
+        };
+        let reference = run_with(optimizer.solve(spec.phi_max_secs, target));
+        assert_ne!(reference, run_with(wrong.clone()), "the wrong plan shows");
+        let entry = PlanEntry {
+            key: format!(
+                "{}|{}|{:016x}|{:016x}",
+                json::to_string(&model.to_value()),
+                json::to_string(&slots.to_value()),
+                spec.phi_max_secs.to_bits(),
+                target.to_bits()
+            ),
+            plan: wrong,
+        };
+        let script = coordinator_script(&[
+            CoordinatorMsg::Init {
+                protocol: PROTOCOL_VERSION,
+                spec: spec.clone(),
+                spec_hash: spec.spec_hash(),
+                session: 0,
+                plans: vec![entry.clone()],
+            },
+            CoordinatorMsg::Session { session: 1 },
+            CoordinatorMsg::Shard {
+                jobs: vec![ShardJob {
+                    id: 0,
+                    start: 0,
+                    end: 1,
+                }],
+                plans: vec![entry],
+            },
+            CoordinatorMsg::Shutdown,
+        ]);
+        let (summary, out) = run_scripted(script, 7);
+        assert_eq!(summary.unwrap(), WorkerSummary { shards: 1, jobs: 1 });
+
+        let mut replies = FrameReader::new(std::io::Cursor::new(out));
+        assert!(matches!(
+            replies.recv::<WorkerMsg>().unwrap(),
+            Some(WorkerMsg::Ready { .. })
+        ));
+        match replies.recv::<WorkerMsg>().unwrap() {
+            Some(WorkerMsg::ShardDone {
+                results,
+                plans,
+                seeded_hits,
+            }) => {
+                assert_eq!(results[0].metrics, vec![reference]);
+                assert!(plans.is_empty(), "no plans travel back");
+                assert_eq!(seeded_hits, 0);
             }
             other => panic!("expected ShardDone, got {other:?}"),
         }

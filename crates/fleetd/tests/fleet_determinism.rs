@@ -302,12 +302,10 @@ fn every_mechanism_survives_the_distributed_path() {
 }
 
 #[test]
-fn shipped_plans_keep_snip_opt_runs_bit_exact() {
-    // Nodes sharing one (profile, ζtarget) key. The driver accumulates
-    // every plan its workers solve; a second run on the same driver ships
-    // them in `Init`, so the fresh worker processes of run two never
-    // solve at all — every SNIP-OPT lookup is a cross-worker seeded hit —
-    // and the merged report must not move by a bit either way.
+fn two_runs_on_one_driver_are_bit_exact() {
+    // Nodes sharing one (profile, ζtarget) key. A driver keeps no state
+    // between runs: the second run's fresh workers solve their own plans,
+    // and the merged report must not move by a bit.
     let nodes = (0..8)
         .map(|i| NodeSpec {
             name: format!("clone-{i}"),
@@ -316,7 +314,7 @@ fn shipped_plans_keep_snip_opt_runs_bit_exact() {
         })
         .collect();
     let spec = FleetSpec {
-        name: "plan-shipping".into(),
+        name: "repeat-runs".into(),
         seed: 99,
         epochs: 2,
         phi_max_secs: 86.4,
@@ -331,19 +329,6 @@ fn shipped_plans_keep_snip_opt_runs_bit_exact() {
         let first = d.run().expect("first run succeeds");
         assert_eq!(first.output, reference, "{dispatch:?}: first run");
         let second = d.run().expect("second run succeeds");
-        assert_eq!(
-            second.output, reference,
-            "{dispatch:?}: seeded plans must be bit-identical to local solves"
-        );
-        assert!(
-            second.stats.plans_shipped >= 1,
-            "{dispatch:?}: the accumulated plan travels in Init ({:?})",
-            second.stats
-        );
-        assert!(
-            second.stats.plan_seed_hits >= 1,
-            "{dispatch:?}: run-two workers reuse the shipped plan ({:?})",
-            second.stats
-        );
+        assert_eq!(second.output, reference, "{dispatch:?}: second run");
     }
 }

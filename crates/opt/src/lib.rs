@@ -22,7 +22,8 @@
 //!   duty-cycle plan.
 //! * [`cache`] — process-wide memoization of solved plans keyed on the
 //!   exact `(model, profile, Φmax, ζtarget)` inputs, so repeated sweep
-//!   points skip the re-solve.
+//!   points skip the re-solve. Each process keeps its own; plans are
+//!   never shipped between processes.
 //!
 //! # Example
 //!
@@ -47,9 +48,7 @@ pub mod simplex;
 pub mod two_step;
 
 pub use allocate::{Allocation, GreedyAllocator};
-pub use cache::{
-    cached_plans, cached_plans_where, plan_cache_stats, seed_plan, solve_cached, PlanCacheStats,
-};
+pub use cache::{plan_cache_stats, solve_cached, PlanCacheStats};
 pub use curve::CapacityCurve;
 pub use simplex::{LinearProgram, SimplexError, SimplexSolution};
 pub use two_step::{OptPlan, TwoStepOptimizer};

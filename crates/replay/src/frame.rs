@@ -95,7 +95,7 @@ pub const BINARY_FRAME_MAGIC: u8 = 0xC5;
 
 /// Bytes of binary-frame header: the magic byte plus a u32 big-endian
 /// payload length.
-const BINARY_HEADER_BYTES: usize = 5;
+pub const BINARY_HEADER_BYTES: usize = 5;
 
 /// Encodes one complete binary frame (header + canonical CBOR payload)
 /// into a fresh buffer. This is the pre-encode path: the coordinator

@@ -243,8 +243,9 @@ impl Fleet {
     }
 
     /// [`Fleet::run`] with a recording hook: the observer sees one
-    /// [`SimEvent::NodeStart`] per node followed by that node's full event
-    /// stream, in fleet order — a whole deployment in one journal.
+    /// [`SimEvent::NodeStart`](crate::SimEvent::NodeStart) per node
+    /// followed by that node's full event stream, in fleet order — a
+    /// whole deployment in one journal.
     ///
     /// If the observer returns [`ObserverFlow::Stop`] anywhere — at a
     /// `NodeStart` or mid-node — the fleet aborts: the interrupted node's
